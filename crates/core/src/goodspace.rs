@@ -39,10 +39,6 @@ pub struct GoodSpaceConfig {
     /// Bitwise-exact LU factor reuse inside the solver (overrides the
     /// harness's base [`SimOptions`]). May never change a reported bit.
     pub factor_reuse: bool,
-    /// Sherman–Morrison–Woodbury rank-k updates of the nominal
-    /// factorisation (overrides the harness's base [`SimOptions`]).
-    /// Changes floating-point round-off; off by default.
-    pub rank_update: bool,
     /// Split-plan batched assembly (overrides the harness's base
     /// [`SimOptions`]). The nominal measurement and every Monte-Carlo
     /// corner share the testbench's compiled stamp split; corners whose
@@ -63,7 +59,6 @@ impl Default for GoodSpaceConfig {
             exec: ExecConfig::default(),
             warm_start: true,
             factor_reuse: true,
-            rank_update: false,
             batch_assembly: true,
             tran_step_carry: false,
         }
@@ -76,7 +71,6 @@ impl Default for GoodSpaceConfig {
 fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOptions {
     let mut opts = harness.sim_options();
     opts.factor_reuse = cfg.factor_reuse;
-    opts.rank_update = cfg.rank_update;
     opts.batch_assembly = cfg.batch_assembly;
     opts.tran_step_carry = cfg.tran_step_carry;
     opts

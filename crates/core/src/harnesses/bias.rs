@@ -61,12 +61,6 @@ impl MacroHarness for BiasHarness {
         MeasurementPlan { labels }
     }
 
-    // The first (and only) analysis is a plain base-gmin DC operating
-    // point, so a lockstep-primed first iteration is always adoptable.
-    fn lockstep_dc(&self) -> bool {
-        true
-    }
-
     fn measure_with(
         &self,
         nl: &Netlist,

@@ -58,12 +58,6 @@ impl MacroHarness for LadderHarness {
         MeasurementPlan { labels }
     }
 
-    // The first (and only) analysis is a plain base-gmin DC operating
-    // point, so a lockstep-primed first iteration is always adoptable.
-    fn lockstep_dc(&self) -> bool {
-        true
-    }
-
     fn measure_with(
         &self,
         nl: &Netlist,

@@ -47,14 +47,12 @@ pub struct SimStats {
     /// DC solves where a warm-start seed failed and the cold homotopy
     /// chain ran instead.
     pub warm_misses: u64,
-    /// Newton linear solves served by a reused factorisation — either an
-    /// exact factor-cache hit (identical matrix) or a successful rank-k
-    /// update against the nominal factors — instead of a fresh `O(n³)`
-    /// factorisation.
+    /// Newton linear solves served by an exact factor-cache hit (a
+    /// bit-identical matrix) instead of a fresh `O(n³)` factorisation.
     pub factor_reuse_hits: u64,
-    /// Rank-update attempts abandoned for an ill-conditioned or
-    /// inaccurate update, falling back to a full refactorisation. (Deltas
-    /// that are simply not low-rank are plain misses, not fallbacks.)
+    /// Reused-factor solves abandoned for a full refactorisation. No
+    /// solve path increments it any more; the field stays because store
+    /// entries and report footers carry it.
     pub factor_refactor_fallbacks: u64,
 }
 

@@ -18,9 +18,9 @@ pub const FORMAT_VERSION: u64 = 3;
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
 /// policy; and the solver-effort knobs (`warm_start`, `measure_cache`,
-/// `factor_reuse`, `rank_update`, `batch_assembly`, `tran_step_carry`)
-/// whose telemetry — or, for the round-off-changing ones, whose solution
-/// bits — lands in persisted solver-stats deltas and measurements.
+/// `factor_reuse`, `batch_assembly`, `tran_step_carry`) whose telemetry
+/// — or, for the round-off-changing ones, whose solution bits — lands in
+/// persisted solver-stats deltas and measurements.
 ///
 /// Deliberately *excluded*:
 ///
@@ -28,12 +28,7 @@ pub const FORMAT_VERSION: u64 = 3;
 ///   (the whole point of the determinism contract);
 /// - `max_classes` — truncation selects *which* classes run, it never
 ///   changes any class's evaluation, so smoke runs share entries with
-///   full runs (the journal guards its own class count separately);
-/// - `variant_lockstep` — the lockstep pre-pass is bitwise- *and*
-///   stats-invisible (a primed lane adopts the exact system and factors
-///   the scalar walk would have computed, and adoption bumps no
-///   [`dotm_sim::SimStats`] counter), so both settings produce identical
-///   persisted entries and must share them.
+///   full runs (the journal guards its own class count separately).
 pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u128 {
     let mut h = Fnv128::new();
     h.u64(FORMAT_VERSION);
@@ -105,7 +100,10 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.bool(cfg.warm_start);
     h.bool(cfg.measure_cache);
     h.bool(cfg.factor_reuse);
-    h.bool(cfg.rank_update);
+    // The slot of the removed `rank_update` knob, hashed as its old default.
+    // Stores and journals written before the removal stay valid; ones
+    // written with the knob on (different round-off) stay misses.
+    h.bool(false);
     h.bool(cfg.batch_assembly);
     h.bool(cfg.tran_step_carry);
 
@@ -120,6 +118,17 @@ mod tests {
 
     fn base_cfg() -> PipelineConfig {
         PipelineConfig::default()
+    }
+
+    #[test]
+    fn default_comparator_context_is_pinned() {
+        // Golden value from before the rank-update knob was removed. The
+        // constant slot that replaced it must keep this hash, or every
+        // existing store and journal silently turns into misses.
+        assert_eq!(
+            pipeline_context(&ComparatorHarness::production(), &PipelineConfig::default()),
+            0x6d304410c9322c7965425424463de853
+        );
     }
 
     #[test]
@@ -165,10 +174,6 @@ mod tests {
         assert_ne!(pipeline_context(&h, &cfg), base, "factor reuse");
 
         let mut cfg = base_cfg();
-        cfg.rank_update = true;
-        assert_ne!(pipeline_context(&h, &cfg), base, "rank update");
-
-        let mut cfg = base_cfg();
         cfg.batch_assembly = false;
         assert_ne!(pipeline_context(&h, &cfg), base, "batch assembly");
 
@@ -202,9 +207,5 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.max_classes = Some(3);
         assert_eq!(pipeline_context(&h, &cfg), base, "class truncation");
-
-        let mut cfg = base_cfg();
-        cfg.variant_lockstep = false;
-        assert_eq!(pipeline_context(&h, &cfg), base, "variant lockstep");
     }
 }

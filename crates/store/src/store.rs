@@ -220,26 +220,6 @@ impl MeasurementStore for DiskStore {
         self.store_inner(key, value);
         dotm_obs::phase(dotm_obs::Phase::StoreWrite, t_write);
     }
-
-    /// Uncounted membership probe: memory shard, then a bare
-    /// file-existence check — no decode, no checksum, and none of the
-    /// session counters the warm-resume gates read. A corrupt entry can
-    /// answer `true` here and still degrade to a miss on the real
-    /// [`MeasurementStore::load`]; the only consequence is one lane the
-    /// lockstep pre-pass declined to prime, which is a lost optimisation,
-    /// never a wrong result.
-    fn contains(&self, key: u128) -> bool {
-        let mixed = mix(self.context, key);
-        if self
-            .shard(mixed)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&mixed)
-        {
-            return true;
-        }
-        self.entry_path(mixed).exists()
-    }
 }
 
 impl DiskStore {
