@@ -15,10 +15,11 @@
 //!   accounting) while reproducing every report fingerprint;
 //! * `POST /shutdown` drains and the server exits 0.
 //!
-//! Knobs: `DOTM_BENCH_JSON` (machine-readable summary), plus the
-//! standard campaign knobs. Unset smoke sizes are pinned
-//! (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good space) so the
-//! committed baseline matches a plain invocation.
+//! This is an identity gate only; service latency is measured end to
+//! end by `perfbench`.
+//!
+//! Knobs: the standard campaign knobs. Unset smoke sizes are pinned
+//! (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good space).
 //!
 //! Exits non-zero on any contract violation.
 
@@ -75,21 +76,19 @@ fn pin(cmd: &mut Command, store_dir: &Path) {
 }
 
 /// The reference: one plain single-process CLI campaign.
-fn run_cli(exe: &Path, store_dir: &Path) -> (String, f64) {
+fn run_cli(exe: &Path, store_dir: &Path) -> String {
     let mut cmd = Command::new(exe);
     pin(&mut cmd, store_dir);
-    let t0 = Instant::now();
     let out = cmd.output().unwrap_or_else(|e| {
         eprintln!("[dotm] failed to spawn {}: {e}", exe.display());
         std::process::exit(2);
     });
-    let seconds = t0.elapsed().as_secs_f64();
     eprint!("{}", String::from_utf8_lossy(&out.stderr));
     if !out.status.success() {
         eprintln!("[dotm] reference campaign exited with {}", out.status);
         std::process::exit(1);
     }
-    (String::from_utf8_lossy(&out.stdout).into_owned(), seconds)
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// Boots the service and blocks until it announces its bound address.
@@ -225,21 +224,6 @@ fn accounting_line(stdout: &str) -> &str {
         .unwrap_or("")
 }
 
-fn write_json(path: &str, fields: &[(&str, String)]) {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[dotm] bench summary: {path}"),
-        Err(e) => {
-            eprintln!("[dotm] bench summary write failed ({path}): {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let exe = campaign_exe();
     let root = std::env::temp_dir().join(format!("dotm-serve-roundtrip-{}", std::process::id()));
@@ -250,15 +234,13 @@ fn main() {
     let store = root.join("store");
 
     println!("campaign service round-trip (HTTP vs CLI byte-identity)");
-    let (cli_out, cli_secs) = run_cli(&exe, &store);
-    println!("  CLI reference: {cli_secs:>6.2}s");
+    let cli_out = run_cli(&exe, &store);
 
     std::fs::remove_dir_all(&store).expect("wipe the store between the runs");
     let (mut server, addr) = start_server(&exe, &store);
 
     // Submit the anchor job (empty body = the service's pinned env) and
     // follow its event stream to completion.
-    let t0 = Instant::now();
     let (status, submitted) = http(&addr, "POST", "/jobs", b"{}");
     if status != 202 {
         eprintln!("[dotm] submit: expected 202, got {status}: {submitted}");
@@ -266,8 +248,7 @@ fn main() {
     }
     let id = json_str(&submitted, "id").to_string();
     let (progress_events, end_state) = stream_events(&addr, &id);
-    let serve_secs = t0.elapsed().as_secs_f64();
-    println!("  service run:   {serve_secs:>6.2}s  ({progress_events} progress events, end state {end_state})");
+    println!("  service run: {progress_events} progress events, end state {end_state}");
     if end_state != "merged" {
         eprintln!("[dotm] job ended in {end_state}, not merged");
         std::process::exit(1);
@@ -323,25 +304,6 @@ fn main() {
     println!(
         "  fingerprints identical: {fingerprints_identical}   clean shutdown: {shutdown_clean}"
     );
-
-    if let Ok(path) = std::env::var("DOTM_BENCH_JSON") {
-        write_json(
-            &path,
-            &[
-                ("bench", "\"serve_roundtrip\"".into()),
-                ("macros", fp_cold.len().to_string()),
-                ("progress_events", progress_events.to_string()),
-                ("report_bytes", report.len().to_string()),
-                ("report_identical", report_identical.to_string()),
-                ("cached_dedup", cached_dedup.to_string()),
-                ("warm_solver_free", warm_solver_free.to_string()),
-                ("fingerprints_identical", fingerprints_identical.to_string()),
-                ("shutdown_clean", shutdown_clean.to_string()),
-                ("cli_wall_ms", format!("{:.1}", cli_secs * 1e3)),
-                ("serve_wall_ms", format!("{:.1}", serve_secs * 1e3)),
-            ],
-        );
-    }
 
     let _ = std::fs::remove_dir_all(&root);
 

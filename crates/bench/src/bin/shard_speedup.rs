@@ -12,31 +12,22 @@
 //!   count, bytes, name digest) is identical — the two trees hold the
 //!   same content-addressed entries.
 //!
-//! Wall-clock of both runs is measured and the ratio reported. On a
-//! single-core CI runner process-level sharding cannot beat one process
-//! doing the same solves, so the speedup gate defaults to *off*
-//! (`DOTM_SHARD_MIN_SPEEDUP=0.0` — honest numbers, hard identity); the
-//! identity checks always gate.
+//! This is an identity gate only; the wall clock of sharded campaigns is
+//! measured end to end by `perfbench`.
 //!
-//! Knobs: `DOTM_SHARD_WORKERS` (worker count, default 2),
-//! `DOTM_SHARD_MIN_SPEEDUP` (wall-clock ratio gate, default 0.0),
-//! `DOTM_BENCH_JSON` (write the machine-readable summary here), plus
-//! the standard campaign knobs, which pass through to both runs. When
-//! unset, the smoke sizes (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`,
-//! 2×2 good space) are pinned explicitly so the committed baseline
-//! matches a plain invocation.
+//! Knobs: `DOTM_SHARD_WORKERS` (worker count, default 2), plus the
+//! standard campaign knobs, which pass through to both runs. When unset,
+//! the smoke sizes (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good
+//! space) are pinned explicitly.
 //!
-//! Exits non-zero on any identity violation, a failed child process, or
-//! a speedup below the (default-off) gate.
+//! Exits non-zero on any identity violation or a failed child process.
 
-use dotm_bench::env_usize;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Instant;
 
 /// Smoke-size defaults pinned into both children when the caller left
-/// them unset, so the bench (and its committed baseline) is
-/// reproducible regardless of the invoking shell.
+/// them unset, so the gate is reproducible regardless of the invoking
+/// shell.
 const PINNED: &[(&str, &str)] = &[
     ("DOTM_DEFECTS", "2000"),
     ("DOTM_MAX_CLASSES", "8"),
@@ -60,8 +51,8 @@ fn campaign_exe() -> PathBuf {
 }
 
 /// Runs one campaign invocation against `store_dir`, returning its
-/// stdout and wall-clock seconds. Stderr passes through.
-fn run_campaign(exe: &Path, store_dir: &Path, extra_args: &[String]) -> (String, f64) {
+/// stdout. Stderr passes through.
+fn run_campaign(exe: &Path, store_dir: &Path, extra_args: &[String]) -> String {
     let mut cmd = Command::new(exe);
     cmd.args(extra_args)
         .env("DOTM_STORE_DIR", store_dir)
@@ -74,12 +65,10 @@ fn run_campaign(exe: &Path, store_dir: &Path, extra_args: &[String]) -> (String,
             cmd.env(k, v);
         }
     }
-    let t0 = Instant::now();
     let out = cmd.output().unwrap_or_else(|e| {
         eprintln!("[dotm] failed to spawn {}: {e}", exe.display());
         std::process::exit(2);
     });
-    let seconds = t0.elapsed().as_secs_f64();
     eprint!("{}", String::from_utf8_lossy(&out.stderr));
     if !out.status.success() {
         eprintln!(
@@ -88,7 +77,7 @@ fn run_campaign(exe: &Path, store_dir: &Path, extra_args: &[String]) -> (String,
         );
         std::process::exit(1);
     }
-    (String::from_utf8_lossy(&out.stdout).into_owned(), seconds)
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// `(macro name, fingerprint)` pairs from the per-macro campaign lines.
@@ -120,23 +109,8 @@ fn occupancy_line(stdout: &str) -> String {
         .to_string()
 }
 
-fn write_json(path: &str, fields: &[(&str, String)]) {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[dotm] bench summary: {path}"),
-        Err(e) => {
-            eprintln!("[dotm] bench summary write failed ({path}): {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
-    let workers = env_usize("DOTM_SHARD_WORKERS", 2);
+    let workers = dotm_core::env::usize_knob("DOTM_SHARD_WORKERS", 2);
     let exe = campaign_exe();
     let root = std::env::temp_dir().join(format!("dotm-shard-speedup-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -144,14 +118,12 @@ fn main() {
     let dir_sharded = root.join("sharded");
 
     println!("sharded campaign vs single process ({workers} workers)");
-    let (out_single, secs_single) = run_campaign(&exe, &dir_single, &[]);
-    println!("  single:  {secs_single:>6.2}s");
-    let (out_sharded, secs_sharded) = run_campaign(
+    let out_single = run_campaign(&exe, &dir_single, &[]);
+    let out_sharded = run_campaign(
         &exe,
         &dir_sharded,
         &["--workers".into(), workers.to_string()],
     );
-    println!("  sharded: {secs_sharded:>6.2}s  ({workers} worker processes + merge)");
 
     // Identity check 1: per-macro report fingerprints.
     let fp_single = fingerprints(&out_single);
@@ -165,12 +137,11 @@ fn main() {
 
     // Identity check 2: canonical journal bytes, macro by macro.
     let mut journals_identical = !fp_single.is_empty();
-    let mut journal_bytes = 0u64;
     for (name, _) in &fp_single {
         let a = std::fs::read(dir_single.join("journal").join(format!("{name}.jnl")));
         let b = std::fs::read(dir_sharded.join("journal").join(format!("{name}.jnl")));
         match (a, b) {
-            (Ok(a), Ok(b)) if a == b => journal_bytes += a.len() as u64,
+            (Ok(a), Ok(b)) if a == b => {}
             _ => {
                 eprintln!("  JOURNAL MISMATCH {name}: merged bytes differ from single-process");
                 journals_identical = false;
@@ -191,42 +162,12 @@ fn main() {
     if !occupancy_identical {
         eprintln!("  OCCUPANCY MISMATCH: the two store trees differ");
     }
-    let store_entries: u64 = occ_single
-        .split("entries=")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
 
-    let speedup = secs_single / secs_sharded.max(1e-9);
     println!(
         "  fingerprints identical: {fingerprints_identical}   journals identical: \
-         {journals_identical}   accounting identical: {accounting_identical}"
+         {journals_identical}   accounting identical: {accounting_identical}   \
+         occupancy identical: {occupancy_identical}"
     );
-    println!(
-        "  occupancy identical: {occupancy_identical} ({store_entries} entries)   \
-         wall-clock speedup: {speedup:.2}x"
-    );
-
-    if let Ok(path) = std::env::var("DOTM_BENCH_JSON") {
-        write_json(
-            &path,
-            &[
-                ("bench", "\"shard_speedup\"".into()),
-                ("workers", workers.to_string()),
-                ("macros", fp_single.len().to_string()),
-                ("journal_bytes", journal_bytes.to_string()),
-                ("store_entries", store_entries.to_string()),
-                ("fingerprints_identical", fingerprints_identical.to_string()),
-                ("journals_identical", journals_identical.to_string()),
-                ("accounting_identical", accounting_identical.to_string()),
-                ("occupancy_identical", occupancy_identical.to_string()),
-                ("single_wall_ms", format!("{:.1}", secs_single * 1e3)),
-                ("sharded_wall_ms", format!("{:.1}", secs_sharded * 1e3)),
-                ("shard_speedup", format!("{speedup:.3}")),
-            ],
-        );
-    }
 
     let _ = std::fs::remove_dir_all(&root);
 
@@ -236,11 +177,6 @@ fn main() {
         && occupancy_identical)
     {
         eprintln!("[dotm] FAIL: sharded campaign is not byte-identical to single-process");
-        std::process::exit(1);
-    }
-    let min_speedup = dotm_core::env::shard_min_speedup();
-    if speedup < min_speedup {
-        eprintln!("[dotm] FAIL: wall-clock speedup {speedup:.2}x < {min_speedup}x");
         std::process::exit(1);
     }
 }

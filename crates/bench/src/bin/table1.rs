@@ -9,15 +9,16 @@
 //! Paper anchors: 334 fault classes; 226,596 faults in the full run;
 //! shorts > 95 % of faults; opens 0.03 % of faults but 5.1 % of classes.
 
-use dotm_bench::{env_u64, env_usize, rule};
+use dotm_bench::rule;
+use dotm_core::env::{u64_knob, usize_knob};
 use dotm_core::harnesses::ComparatorHarness;
 use dotm_core::MacroHarness;
 use dotm_defects::{recount, sprinkle_collapsed, DefectStatistics, FaultMechanism, Sprinkler};
 
 fn main() {
-    let pilot = env_usize("DOTM_DEFECTS", 25_000);
-    let full = env_usize("DOTM_TABLE1_FULL", 10_000_000);
-    let seed = env_u64("DOTM_SEED", 1995);
+    let pilot = usize_knob("DOTM_DEFECTS", 25_000);
+    let full = usize_knob("DOTM_TABLE1_FULL", 10_000_000);
+    let seed = u64_knob("DOTM_SEED", 1995);
 
     let harness = ComparatorHarness::production();
     let layout = harness.layout();

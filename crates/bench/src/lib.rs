@@ -40,9 +40,8 @@
 //! workers, default 2) and `DOTM_SHARD_ABORT_ONCE` (fault injection: the
 //! first dispatch round's workers abort after that many classes — CI uses
 //! it to prove crash-and-re-dispatch merges byte-identically). The
-//! `shard_speedup` bench honours `DOTM_SHARD_WORKERS` (default 2) and
-//! `DOTM_SHARD_MIN_SPEEDUP` (default 0.0 — identity always gates,
-//! wall-clock never does by default).
+//! `shard_speedup` identity gate honours `DOTM_SHARD_WORKERS` (default
+//! 2).
 //!
 //! `DOTM_TRACE` (`1`/`0`, default off) turns on the [`dotm_obs`]
 //! observability recorder: the binary appends a per-phase wall-clock
@@ -57,38 +56,14 @@
 //! solver escalation (and to which rung), and the total solver work. On a
 //! healthy paper-parity run the failure counters are all zero.
 
+use dotm_core::env::{sim_failure_policy, u64_knob, usize_knob};
 use dotm_core::harnesses::{
     BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
 };
 use dotm_core::{
     par_map, run_macro_path, ExecConfig, GlobalReport, GoodSpaceConfig, MacroHarness, MacroReport,
-    PipelineConfig, SimFailurePolicy,
+    PipelineConfig,
 };
-
-/// Reads a `usize` environment knob (thin wrapper over
-/// [`dotm_core::env::usize_knob`], kept for the bench binaries' API).
-pub fn env_usize(name: &str, default: usize) -> usize {
-    dotm_core::env::usize_knob(name, default)
-}
-
-/// Reads a `u64` environment knob (thin wrapper over
-/// [`dotm_core::env::u64_knob`]).
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    dotm_core::env::u64_knob(name, default)
-}
-
-/// Reads a boolean environment knob (thin wrapper over
-/// [`dotm_core::env::bool_knob`]).
-pub fn env_bool(name: &str, default: bool) -> bool {
-    dotm_core::env::bool_knob(name, default)
-}
-
-/// Reads the `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity
-/// `AssumeDetected`). An unparsable value aborts loudly rather than
-/// silently running with the wrong accounting.
-pub fn env_sim_failure_policy() -> SimFailurePolicy {
-    dotm_core::env::sim_failure_policy()
-}
 
 /// Enables the [`dotm_obs`] recorder when the `DOTM_TRACE` knob is set.
 /// Call once at the top of a bench binary's `main`; returns whether
@@ -140,26 +115,25 @@ pub fn obs_finish(label: &str) {
 
 /// The standard pipeline configuration, honouring the environment knobs.
 pub fn standard_config() -> PipelineConfig {
-    let max_classes = match dotm_core::env::usize_knob("DOTM_MAX_CLASSES", 0) {
+    let max_classes = match usize_knob("DOTM_MAX_CLASSES", 0) {
         0 => None,
         n => Some(n),
     };
     PipelineConfig {
-        defects: env_usize("DOTM_DEFECTS", 25_000),
-        seed: env_u64("DOTM_SEED", 1995),
+        defects: usize_knob("DOTM_DEFECTS", 25_000),
+        seed: u64_knob("DOTM_SEED", 1995),
         goodspace: GoodSpaceConfig {
-            common_samples: env_usize("DOTM_GS_COMMON", 5),
-            mismatch_samples: env_usize("DOTM_GS_MM", 4),
-            seed: env_u64("DOTM_SEED", 1995) ^ 0xD07,
+            common_samples: usize_knob("DOTM_GS_COMMON", 5),
+            mismatch_samples: usize_knob("DOTM_GS_MM", 4),
+            seed: u64_knob("DOTM_SEED", 1995) ^ 0xD07,
             ..GoodSpaceConfig::default()
         },
         max_classes,
-        sim_failure_policy: env_sim_failure_policy(),
+        sim_failure_policy: sim_failure_policy(),
         warm_start: dotm_core::env::warm_start(),
         measure_cache: dotm_core::env::measure_cache(),
         factor_reuse: dotm_core::env::factor_reuse(),
         batch_assembly: dotm_core::env::batch_assembly(),
-        tran_step_carry: dotm_core::env::tran_step_carry(),
         ..PipelineConfig::default()
     }
 }
@@ -238,7 +212,7 @@ fn print_accounting(
     cache_entries: u64,
 ) {
     println!();
-    println!("solver accounting ({:?} policy):", env_sim_failure_policy());
+    println!("solver accounting ({:?} policy):", sim_failure_policy());
     println!("  sim-failed classes:    {sim_failed}");
     println!("  inject-failed classes: {inject_failed}");
     println!("  escalated classes:     {escalated}");
@@ -317,12 +291,6 @@ pub fn print_global_accounting(report: &GlobalReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_parsing_defaults() {
-        assert_eq!(env_usize("DOTM_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_u64("DOTM_DOES_NOT_EXIST", 9), 9);
-    }
 
     #[test]
     fn standard_config_is_sane() {

@@ -22,7 +22,6 @@
 //! | `DOTM_MEASURE_CACHE` | in-memory measurement memoization | on |
 //! | `DOTM_FACTOR_REUSE` | bitwise-exact LU factor cache in the solver | on |
 //! | `DOTM_BATCH_ASSEMBLY` | split-plan batched assembly + shared class baselines | on |
-//! | `DOTM_TRAN_STEP_CARRY` | carry accepted transient steps across the grid | off |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
 //! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
@@ -31,7 +30,6 @@
 //! | `DOTM_TRACE_DIR` | directory for NDJSON + chrome trace exports | `.` |
 //! | `DOTM_SHARD_RETRIES` | extra coordinator dispatch rounds for crashed workers | 2 |
 //! | `DOTM_SHARD_ABORT_ONCE` | test knob: first-round workers abort after this many classes | off |
-//! | `DOTM_SHARD_MIN_SPEEDUP` | `shard_speedup` wall-clock ratio gate (`0` = identity only) | 0.0 |
 //! | `DOTM_ABORT_AFTER` | abort the run after this many observed classes (crash injection) | off |
 //! | `DOTM_EXPECT_WARM` | assert the run answered entirely from cache/store (0 solves) | off |
 //! | `DOTM_PROGRESS` | per-class `[progress]` lines on stderr (service event feed) | off |
@@ -77,26 +75,6 @@ pub fn parse_usize(value: &str) -> Result<usize, String> {
         .map_err(|_| format!("expected an unsigned integer, got {value:?}"))
 }
 
-/// Parses a finite, non-negative floating-point knob value
-/// (whitespace-tolerant). `NaN`, infinities and negatives are malformed:
-/// every float knob in the workspace is a ratio or interval where they
-/// could only mean a typo.
-///
-/// # Errors
-/// A message naming the offending value.
-pub fn parse_f64(value: &str) -> Result<f64, String> {
-    let parsed = value
-        .trim()
-        .parse::<f64>()
-        .map_err(|_| format!("expected a number, got {value:?}"))?;
-    if !parsed.is_finite() || parsed < 0.0 {
-        return Err(format!(
-            "expected a finite non-negative number, got {value:?}"
-        ));
-    }
-    Ok(parsed)
-}
-
 /// Reads an environment knob through a parser, panicking loudly on a
 /// malformed value and returning `None` when unset.
 fn knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
@@ -128,14 +106,6 @@ pub fn usize_knob(name: &str, default: usize) -> usize {
 /// On a malformed value.
 pub fn u64_knob(name: &str, default: u64) -> u64 {
     knob(name, parse_u64).unwrap_or(default)
-}
-
-/// Reads an `f64` `DOTM_*` knob (finite, non-negative).
-///
-/// # Panics
-/// On a malformed value.
-pub fn f64_knob(name: &str, default: f64) -> f64 {
-    knob(name, parse_f64).unwrap_or(default)
 }
 
 /// The `DOTM_THREADS` knob: `None` when unset or `0` (both mean "auto" —
@@ -184,18 +154,6 @@ pub fn factor_reuse() -> bool {
 /// On a malformed value.
 pub fn batch_assembly() -> bool {
     bool_knob("DOTM_BATCH_ASSEMBLY", true)
-}
-
-/// The `DOTM_TRAN_STEP_CARRY` knob (default off): carry the last
-/// accepted transient step size forward (×2 ramp) instead of restarting
-/// every step from the full remaining interval. Cuts rejected Newton
-/// solves at sharp edges but changes the step sequence and therefore
-/// round-off, hence off by default.
-///
-/// # Panics
-/// On a malformed value.
-pub fn tran_step_carry() -> bool {
-    bool_knob("DOTM_TRAN_STEP_CARRY", false)
 }
 
 /// The `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity
@@ -310,16 +268,6 @@ pub fn expect_warm() -> bool {
     bool_knob("DOTM_EXPECT_WARM", false)
 }
 
-/// The `DOTM_SHARD_MIN_SPEEDUP` knob (default 0.0): the `shard_speedup`
-/// bench's wall-clock ratio gate. `0.0` means identity-only — always
-/// honest numbers, never a flaky timing failure in CI.
-///
-/// # Panics
-/// On a malformed value.
-pub fn shard_min_speedup() -> f64 {
-    f64_knob("DOTM_SHARD_MIN_SPEEDUP", 0.0)
-}
-
 /// The `DOTM_PROGRESS` knob (default off): emit one `[progress]` line to
 /// stderr per completed class. A pure side channel (stderr only — never a
 /// report byte); the campaign service parses these lines into its event
@@ -411,16 +359,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn float_grammar() {
-        assert_eq!(parse_f64("0"), Ok(0.0));
-        assert_eq!(parse_f64(" 1.75 "), Ok(1.75));
-        assert_eq!(parse_f64("2e1"), Ok(20.0));
-        for s in ["", "-0.5", "NaN", "inf", "fast", "1,5"] {
-            assert!(parse_f64(s).is_err(), "{s:?} must be rejected");
-        }
-    }
-
     // The env-reading wrappers are exercised with test-unique variable
     // names: the test harness runs tests concurrently in one process, so
     // these must never touch a knob another test might read.
@@ -430,14 +368,6 @@ mod tests {
         assert!(!bool_knob("DOTM_TEST_UNSET_B", false));
         assert_eq!(usize_knob("DOTM_TEST_UNSET_U", 9), 9);
         assert_eq!(u64_knob("DOTM_TEST_UNSET_U64", 11), 11);
-        assert_eq!(f64_knob("DOTM_TEST_UNSET_F", 0.5), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "DOTM_TEST_MALFORMED_F")]
-    fn malformed_f64_knob_panics() {
-        std::env::set_var("DOTM_TEST_MALFORMED_F", "-1");
-        f64_knob("DOTM_TEST_MALFORMED_F", 0.0);
     }
 
     // The campaign knobs added since PR 5 are thin wrappers over the
@@ -456,9 +386,6 @@ mod tests {
         }
         if std::env::var("DOTM_EXPECT_WARM").is_err() {
             assert!(!expect_warm());
-        }
-        if std::env::var("DOTM_SHARD_MIN_SPEEDUP").is_err() {
-            assert_eq!(shard_min_speedup(), 0.0);
         }
         if std::env::var("DOTM_PROGRESS").is_err() {
             assert!(!progress());

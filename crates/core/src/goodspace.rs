@@ -45,9 +45,6 @@ pub struct GoodSpaceConfig {
     /// perturbed devices break the prefix invariant fall back to a local
     /// split. Bitwise-invisible; on by default.
     pub batch_assembly: bool,
-    /// Transient step-carry heuristic (overrides the harness's base
-    /// [`SimOptions`]). Round-off-changing; off by default.
-    pub tran_step_carry: bool,
 }
 
 impl Default for GoodSpaceConfig {
@@ -60,7 +57,6 @@ impl Default for GoodSpaceConfig {
             warm_start: true,
             factor_reuse: true,
             batch_assembly: true,
-            tran_step_carry: false,
         }
     }
 }
@@ -72,7 +68,6 @@ fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOpti
     let mut opts = harness.sim_options();
     opts.factor_reuse = cfg.factor_reuse;
     opts.batch_assembly = cfg.batch_assembly;
-    opts.tran_step_carry = cfg.tran_step_carry;
     opts
 }
 

@@ -169,12 +169,6 @@ pub struct PipelineConfig {
     /// Bitwise-identical to the scalar path by construction (the
     /// determinism suite enforces this), so it is on by default.
     pub batch_assembly: bool,
-    /// Carry the last accepted transient step size forward (×2 ramp)
-    /// instead of restarting every step from the full remaining output
-    /// interval. Cuts rejected Newton solves on sharp comparator edges
-    /// but changes the step sequence and therefore round-off; off by
-    /// default.
-    pub tran_step_carry: bool,
 }
 
 impl Default for PipelineConfig {
@@ -194,7 +188,6 @@ impl Default for PipelineConfig {
             measure_cache: true,
             factor_reuse: true,
             batch_assembly: true,
-            tran_step_carry: false,
         }
     }
 }
@@ -819,7 +812,6 @@ pub fn run_macro_path_with_faults_hooked(
     gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
     gs_cfg.factor_reuse = cfg.factor_reuse;
     gs_cfg.batch_assembly = cfg.batch_assembly;
-    gs_cfg.tran_step_carry = cfg.tran_step_carry;
     let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
@@ -1094,7 +1086,6 @@ fn class_base_opts(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptio
     let mut base_opts = harness.sim_options();
     base_opts.factor_reuse = cfg.factor_reuse;
     base_opts.batch_assembly = cfg.batch_assembly;
-    base_opts.tran_step_carry = cfg.tran_step_carry;
     base_opts
 }
 

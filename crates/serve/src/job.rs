@@ -86,9 +86,6 @@ pub struct JobSpec {
     pub threads: usize,
     /// Shard worker processes (`0` = one ordinary campaign process).
     pub workers: usize,
-    /// Remote mode: shards are claimed and uploaded by pull workers
-    /// instead of spawned locally; the service only merges.
-    pub remote: bool,
     /// Force a re-run even when the identical job already finished
     /// (the store still answers warm — `computed=0`).
     pub fresh: bool,
@@ -111,7 +108,6 @@ impl JobSpec {
             max_classes: usize_knob("DOTM_MAX_CLASSES", 0),
             threads: usize_knob("DOTM_THREADS", 0),
             workers: serve_workers(),
-            remote: false,
             fresh: false,
             abort_once: 0,
         }
@@ -165,12 +161,7 @@ impl JobSpec {
             }
             Ok(())
         };
-        let mut remote = spec.remote;
-        let mut fresh = spec.fresh;
-        flag("remote", &mut remote)?;
-        flag("fresh", &mut fresh)?;
-        spec.remote = remote;
-        spec.fresh = fresh;
+        flag("fresh", &mut spec.fresh)?;
         if let Some(list) = json_field(text, "macros") {
             let mut macros = Vec::new();
             for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -190,9 +181,6 @@ impl JobSpec {
             // Canonical campaign order, independent of request order.
             macros.sort_by_key(|m| ALL_MACROS.iter().position(|a| a == m));
             spec.macros = macros;
-        }
-        if spec.remote && spec.workers == 0 {
-            return Err("remote jobs need workers > 0".into());
         }
         Ok(spec)
     }
@@ -298,7 +286,7 @@ impl Job {
     fn body(&self) -> String {
         format!(
             "{{\"abort_once\":{},\"attempts\":{},\"defects\":{},\"exit\":{},\"fresh\":{},\
-             \"gs_common\":{},\"gs_mm\":{},\"macros\":\"{}\",\"max_classes\":{},\"remote\":{},\
+             \"gs_common\":{},\"gs_mm\":{},\"macros\":\"{}\",\"max_classes\":{},\
              \"seed\":{},\"seq\":{},\"state\":\"{}\",\"threads\":{},\"workers\":{}}}",
             self.spec.abort_once,
             self.attempts,
@@ -309,7 +297,6 @@ impl Job {
             self.spec.gs_mm,
             self.spec.macros.join(","),
             self.spec.max_classes,
-            self.spec.remote,
             self.spec.seed,
             self.seq,
             self.state.name(),
@@ -372,7 +359,6 @@ impl Job {
             max_classes: json_field(&body, "max_classes")?.parse().ok()?,
             threads: json_field(&body, "threads")?.parse().ok()?,
             workers: json_field(&body, "workers")?.parse().ok()?,
-            remote: parse_bool(json_field(&body, "remote")?)?,
             fresh: parse_bool(json_field(&body, "fresh")?)?,
             abort_once: json_field(&body, "abort_once")?.parse().ok()?,
         };
@@ -411,13 +397,12 @@ impl Job {
     pub fn status_fields(&self) -> String {
         format!(
             "\"id\":\"{}\",\"state\":\"{}\",\"exit\":{},\"attempts\":{},\"workers\":{},\
-             \"remote\":{},\"macros\":\"{}\"",
+             \"macros\":\"{}\"",
             json_escape(&self.id),
             self.state.name(),
             self.exit,
             self.attempts,
             self.spec.workers,
-            self.spec.remote,
             json_escape(&self.spec.macros.join(",")),
         )
     }
@@ -444,7 +429,6 @@ mod tests {
             max_classes: 8,
             threads: 0,
             workers: 2,
-            remote: false,
             fresh: false,
             abort_once: 0,
         }
@@ -499,7 +483,6 @@ mod tests {
         assert!(JobSpec::parse(br#"{"defects":"many"}"#).is_err());
         assert!(JobSpec::parse(br#"{"macros":"mystery"}"#).is_err());
         assert!(JobSpec::parse(br#"{"macros":" , "}"#).is_err());
-        assert!(JobSpec::parse(br#"{"remote":true,"workers":0}"#).is_err());
         assert!(
             JobSpec::parse(b"")
                 .expect("empty body is defaults")
@@ -529,6 +512,26 @@ mod tests {
         fs::write(&path, text).expect("write");
         assert_eq!(Job::load(&dir, &job.id), None, "corrupt record is absent");
         assert!(Job::load_all(&dir).is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_with_the_retired_remote_field_still_load() {
+        // Records written before the remote-worker contract was removed
+        // carry `"remote":false`; the field is ignored, the id is unchanged.
+        let dir = tmpdir("legacy");
+        let job = Job::new(spec(), 4);
+        let body = job
+            .body()
+            .replace("\"seed\":", "\"remote\":false,\"seed\":");
+        let line = format!(
+            "{{\"dotm_job\":1,\"id\":\"{}\",\"data\":\"{}\",\"crc\":\"{:016x}\"}}\n",
+            job.id,
+            to_hex(body.as_bytes()),
+            fnv64(body.as_bytes()),
+        );
+        fs::write(Job::path(&dir, &job.id), line).expect("write");
+        assert_eq!(Job::load(&dir, &job.id), Some(job));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -10,8 +10,6 @@
 //! * `GET /jobs/:id/events` — NDJSON progress stream.
 //! * `GET /jobs/:id/report` — the campaign report, byte-identical to
 //!   the CLI's stdout (it *is* the captured stdout).
-//! * `POST /jobs/:id/shards/:i/claim` + `.../segments/:macro` — the
-//!   pull contract for remote shard workers.
 //! * `GET /store/occupancy`, `GET /metrics`, `POST /shutdown`.
 //!
 //! Jobs persist as checksummed single-line records under

@@ -55,12 +55,6 @@ pub struct SimOptions {
     /// addition order is preserved exactly, so the assembled matrix is
     /// bit-identical to the interpretive walk and this defaults on.
     pub batch_assembly: bool,
-    /// Carry the accepted transient step size across the step loop with a
-    /// ×2 ramp-up instead of restarting every step at the full remaining
-    /// interval. Avoids paying repeated rejected Newton solves on sharp
-    /// edges, but takes different (smaller) steps — round-off-changing,
-    /// so it defaults off.
-    pub tran_step_carry: bool,
 }
 
 impl Default for SimOptions {
@@ -76,7 +70,6 @@ impl Default for SimOptions {
             max_step_halvings: 10,
             factor_reuse: true,
             batch_assembly: true,
-            tran_step_carry: false,
         }
     }
 }
@@ -1262,14 +1255,6 @@ impl<'a> Simulator<'a> {
         let trap_ok = self.opts.integration == Integration::Trapezoidal;
         let mut first_step = true;
         let mut t = 0.0;
-        // Step-carry (`DOTM_TRAN_STEP_CARRY`): once halvings find a working
-        // `h` at a sharp edge, restarting the next step from the full
-        // remaining interval repeats up to `max_step_halvings` rejected
-        // Newton solves per accepted step. Carrying the accepted `h`
-        // forward with a ×2 ramp (capped at the remaining interval) keeps
-        // the step near the edge-resolving size. Off by default: the step
-        // sequence changes, which perturbs round-off.
-        let mut carried: Option<f64> = None;
         for k in 1..=n_out {
             let t_target = if !exact && k == n_out {
                 tstop
@@ -1277,11 +1262,7 @@ impl<'a> Simulator<'a> {
                 k as f64 * dt
             };
             while t < t_target - 1e-18 * t_target.max(1.0) {
-                let remaining = t_target - t;
-                let mut h = match carried {
-                    Some(c) if self.opts.tran_step_carry => c.min(remaining),
-                    _ => remaining,
-                };
+                let mut h = t_target - t;
                 let mut halvings = 0;
                 loop {
                     // BE on the very first step (no stored cap current yet).
@@ -1311,9 +1292,6 @@ impl<'a> Simulator<'a> {
                             t += h;
                             first_step = false;
                             self.stats.tran_steps += 1;
-                            if self.opts.tran_step_carry {
-                                carried = Some(2.0 * h);
-                            }
                             break;
                         }
                         NrOutcome::Singular => {

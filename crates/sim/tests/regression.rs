@@ -411,79 +411,3 @@ fn transient_grid_keeps_final_partial_step_near_divisor() {
     assert_eq!(times.len(), 10_002, "10000 full steps + final partial step");
     assert_eq!(*times.last().unwrap(), tstop);
 }
-
-/// A CMOS inverter slewing a load cap — sharp pulse edges make Newton
-/// fail at the full step size when `max_iter` is tight, which is the
-/// step-halving workload the carry heuristic targets.
-fn edgy_inverter() -> Netlist {
-    use dotm_netlist::{MosType, MosfetParams};
-    let mut nl = Netlist::new("edgy_inverter");
-    let vdd = nl.node("vdd");
-    let vin = nl.node("in");
-    let out = nl.node("out");
-    nl.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(5.0))
-        .unwrap();
-    nl.add_vsource(
-        "VIN",
-        vin,
-        Netlist::GROUND,
-        Waveform::pulse(0.0, 5.0, 2e-9, 1e-11, 1e-11, 5e-9, 10e-9),
-    )
-    .unwrap();
-    nl.add_mosfet(
-        "MP",
-        out,
-        vin,
-        vdd,
-        vdd,
-        MosType::Pmos,
-        MosfetParams::pmos_default(),
-    )
-    .unwrap();
-    nl.add_mosfet(
-        "MN",
-        out,
-        vin,
-        Netlist::GROUND,
-        Netlist::GROUND,
-        MosType::Nmos,
-        MosfetParams::nmos_default(),
-    )
-    .unwrap();
-    nl.add_capacitor("CL", out, Netlist::GROUND, 100e-15)
-        .unwrap();
-    nl
-}
-
-#[test]
-fn step_carry_cuts_rejected_steps_without_flipping_the_answer() {
-    let run = |carry: bool| {
-        let nl = edgy_inverter();
-        let o = SimOptions {
-            max_iter: 6,
-            tran_step_carry: carry,
-            ..SimOptions::default()
-        };
-        let mut sim = Simulator::with_options(&nl, o);
-        let tr = sim.transient(50e-9, 1e-9).expect("transient");
-        let out = nl.find_node("out").unwrap();
-        (*sim.stats(), tr.voltage(tr.len() - 1, out))
-    };
-    let (off, v_off) = run(false);
-    let (on, v_on) = run(true);
-    assert!(
-        off.step_halvings > 0,
-        "scenario must actually halve (got {} halvings) or the test is vacuous",
-        off.step_halvings
-    );
-    assert!(
-        on.rejected_steps < off.rejected_steps,
-        "carry must cut rejected Newton solves: {} (on) vs {} (off)",
-        on.rejected_steps,
-        off.rejected_steps
-    );
-    assert!(
-        (v_on - v_off).abs() < 1e-2,
-        "carry changed the settled output: {v_on} vs {v_off}"
-    );
-}

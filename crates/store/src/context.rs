@@ -18,9 +18,8 @@ pub const FORMAT_VERSION: u64 = 3;
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
 /// policy; and the solver-effort knobs (`warm_start`, `measure_cache`,
-/// `factor_reuse`, `batch_assembly`, `tran_step_carry`) whose telemetry
-/// — or, for the round-off-changing ones, whose solution bits — lands in
-/// persisted solver-stats deltas and measurements.
+/// `factor_reuse`, `batch_assembly`) whose telemetry lands in persisted
+/// solver-stats deltas.
 ///
 /// Deliberately *excluded*:
 ///
@@ -100,12 +99,13 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.bool(cfg.warm_start);
     h.bool(cfg.measure_cache);
     h.bool(cfg.factor_reuse);
-    // The slot of the removed `rank_update` knob, hashed as its old default.
-    // Stores and journals written before the removal stay valid; ones
-    // written with the knob on (different round-off) stay misses.
+    // The slots of the removed `rank_update` and `tran_step_carry` knobs,
+    // each hashed as its old default. Stores and journals written before
+    // the removal stay valid; ones written with a knob on (different
+    // round-off) stay misses.
     h.bool(false);
     h.bool(cfg.batch_assembly);
-    h.bool(cfg.tran_step_carry);
+    h.bool(false);
 
     h.finish()
 }
@@ -122,9 +122,10 @@ mod tests {
 
     #[test]
     fn default_comparator_context_is_pinned() {
-        // Golden value from before the rank-update knob was removed. The
-        // constant slot that replaced it must keep this hash, or every
-        // existing store and journal silently turns into misses.
+        // Golden value from before the rank-update and step-carry knobs
+        // were removed. The constant slots that replaced them must keep
+        // this hash, or every existing store and journal silently turns
+        // into misses.
         assert_eq!(
             pipeline_context(&ComparatorHarness::production(), &PipelineConfig::default()),
             0x6d304410c9322c7965425424463de853
@@ -176,10 +177,6 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.batch_assembly = false;
         assert_ne!(pipeline_context(&h, &cfg), base, "batch assembly");
-
-        let mut cfg = base_cfg();
-        cfg.tran_step_carry = true;
-        assert_ne!(pipeline_context(&h, &cfg), base, "step carry");
 
         let mut cfg = base_cfg();
         cfg.defects += 1;

@@ -186,7 +186,7 @@ impl JournalProgress {
 
 /// Parses a progress snapshot out of journal/segment text. `None` when
 /// the first line is not a structurally valid header of either kind.
-pub fn journal_progress_text(text: &str) -> Option<JournalProgress> {
+fn journal_progress_text(text: &str) -> Option<JournalProgress> {
     let mut lines = text.lines();
     let head = lines.next()?;
     if json_field(head, "dotm_journal")? != "1" {

@@ -53,8 +53,7 @@ mod wire;
 pub use context::pipeline_context;
 pub use fnv::{fnv64, Fnv128};
 pub use journal::{
-    journal_progress, journal_progress_text, load_journal, JournalHeader, JournalProgress,
-    JournalWriter, ResumeState,
+    journal_progress, load_journal, JournalHeader, JournalProgress, JournalWriter, ResumeState,
 };
 pub use segment::{create_segment, load_segment, merge_segments, segment_path, MergeReport};
 pub use store::{

@@ -8,9 +8,10 @@
 //!   byte halves and snapshots between the halves, proving the parser
 //!   treats a half-written line as end-of-prefix;
 //! * a **threaded race** where a real [`JournalWriter`] appends flushed
-//!   records while a reader polls [`load_journal`] and
-//!   [`journal_progress`] as fast as it can, asserting every observed
-//!   prefix is monotonic and payload-exact.
+//!   records while a reader snapshots the live file as fast as it can
+//!   and runs [`load_journal`] and [`journal_progress`] on each
+//!   snapshot, asserting every observed prefix is monotonic and
+//!   payload-exact.
 
 use dotm_core::{ClassOutcome, CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::FaultMechanism;
@@ -68,7 +69,8 @@ fn header(classes: usize) -> JournalHeader {
 
 /// Asserts one observed resume state is a valid prefix: contiguous
 /// `Some` slots from class 0, each holding the exact payload the writer
-/// recorded for that class.
+/// recorded for that class. Both parsers read `path`, so it must not
+/// change between them: a file no writer is appending to, or a snapshot.
 fn assert_valid_prefix(path: &Path, expect: &JournalHeader) -> usize {
     let state = load_journal(path, expect);
     assert!(
@@ -166,12 +168,15 @@ fn half_written_records_never_enter_the_prefix() {
 }
 
 /// Threaded race: a real writer appends flushed records while a reader
-/// polls as fast as it can. Every observed prefix must be valid and the
-/// sequence of observed lengths monotonic.
+/// polls as fast as it can. Each observation copies the live bytes once
+/// into a snapshot file, so both parsers see the same bytes. Every
+/// observed prefix must be valid and the sequence of observed lengths
+/// monotonic.
 #[test]
 fn polling_reader_races_a_live_writer() {
     let dir = tmpdir("race");
     let path = dir.join("comparator.jnl");
+    let snapshot = dir.join("snapshot.jnl");
     let classes = 200;
     let expect = header(classes);
 
@@ -193,8 +198,12 @@ fn polling_reader_races_a_live_writer() {
         let mut observations = 0u64;
         loop {
             let sealed = done.load(Ordering::Acquire);
-            if path.exists() {
-                let prefix = assert_valid_prefix(&path, &expect);
+            // Until the header line lands the file is created but not
+            // yet a journal: there is nothing to observe.
+            let bytes = fs::read(&path).unwrap_or_default();
+            if bytes.contains(&b'\n') {
+                fs::write(&snapshot, &bytes).expect("write snapshot");
+                let prefix = assert_valid_prefix(&snapshot, &expect);
                 assert!(
                     prefix >= last,
                     "prefix went backwards: {last} -> {prefix} (single writer, append-only)"

@@ -4,8 +4,9 @@
 # This is what CI runs and what a developer runs before pushing: the
 # whole thing is offline (path-only dependency graph, --locked) and
 # finishes in a few minutes on one core. Thread count only changes
-# wall-clock time, never a number — the determinism gate at the end
-# proves it on every run.
+# wall-clock time, never a number — the workspace determinism tests
+# prove it on every run. Speed is measured by perfbench
+# (perfbench/run.sh), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,16 +37,6 @@ echo "$acct" | grep -q "inject-failed classes: 0" || {
 echo "$acct" | grep -q "ladder-rung histogram:" || {
     echo "FAIL: ladder-rung histogram missing"; echo "$acct"; exit 1; }
 echo "    failure counters present and zero"
-
-echo "==> determinism: serial vs parallel fingerprints"
-DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-    cargo run --release --locked -p dotm-bench --bin par_speedup
-
-echo "==> equivalence: warm start + cache never flip a verdict (ladder anchor)"
-# Runs the fixed-seed anchor cold and warm+cached, asserts every class
-# verdict is identical and that the warm path actually saves NR
-# iterations; exits non-zero otherwise.
-cargo run --release --locked -p dotm-bench --bin warm_speedup
 
 echo "==> equivalence: fig4 identical with and without warm start + cache"
 # The optimisations may only change solver effort, so the printed report
@@ -97,19 +88,6 @@ for threads in 1 4; do
         echo "FAIL: DOTM_BATCH_ASSEMBLY changed the report ($threads threads)"; exit 1; }
 done
 echo "    reports byte-identical with the batch knob on and off"
-
-echo "==> equivalence + perf: batched assembly is bit-identical and faster (ladder anchor)"
-# Runs the anchor with scalar and batched assembly; asserts the two
-# reports are bit-for-bit identical, then gates the assembly-phase
-# reduction. The speedup gate is relaxed here (the perf job tracks the
-# trajectory); the bitwise gate is absolute.
-batch_json="${DOTM_BATCH_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$batch_json" DOTM_BATCH_MIN_SPEEDUP="${DOTM_BATCH_MIN_SPEEDUP:-1}" \
-    cargo run --release --locked -p dotm-bench --bin batch_speedup
-
-echo "==> perf trajectory: batch counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_7.json "$batch_json"
 
 echo "==> persistence: campaign store cold -> warm -> kill/resume -> corrupt"
 # The persistent-campaign gate, on a small fixed-seed configuration:
@@ -210,18 +188,11 @@ for jnl in "$store_dir"/journal/*.jnl; do
 done
 echo "    kill-mid-shard + re-dispatch + merge: fingerprints, report and journal bytes identical"
 
-echo "==> equivalence + perf: sharded byte-identity bench (shard_speedup)"
+echo "==> equivalence: sharded byte-identity gate (shard_speedup)"
 # Spawns the campaign binary single-process and as a 2-worker
-# coordinator against fresh trees; hard-gates the identity verdicts and
-# reports the honest wall-clock ratio (no speedup floor on a one-core
-# runner).
-shard_json="${DOTM_SHARD_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$shard_json" \
-    cargo run --release --locked -p dotm-bench --bin shard_speedup
-
-echo "==> perf trajectory: shard counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_8.json "$shard_json"
+# coordinator against fresh trees; gates fingerprints, journal bytes,
+# accounting and store occupancy.
+cargo run --release --locked -p dotm-bench --bin shard_speedup
 
 echo "==> service: campaign-as-a-service round-trip (serve_roundtrip)"
 # Boots campaign --serve on a loopback port, submits the anchor job over
@@ -230,13 +201,7 @@ echo "==> service: campaign-as-a-service round-trip (serve_roundtrip)"
 # same store path, resubmission answers cached from the finished job,
 # and a forced fresh re-run over the warmed store performs zero solver
 # work (misses=0 computed=0) with every fingerprint reproduced.
-serve_json="${DOTM_SERVE_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$serve_json" \
-    cargo run --release --locked -p dotm-bench --bin serve_roundtrip
-
-echo "==> perf trajectory: service counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_9.json "$serve_json"
+cargo run --release --locked -p dotm-bench --bin serve_roundtrip
 
 echo "==> observability: traced fig4 is a pure side channel"
 # DOTM_TRACE=1 must leave stdout byte-identical (the per-phase profile

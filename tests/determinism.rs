@@ -241,4 +241,15 @@ fn fixed_seed_anchor_invariants() {
         "ladder missing-code {:.1}% left its band",
         d.missing_code_pct
     );
+    // Batched assembly must be invisible on the full anchor population
+    // too, not only on the truncated comparator slice above.
+    let scalar = run_macro_path(
+        &LadderHarness,
+        &PipelineConfig {
+            batch_assembly: false,
+            ..cfg
+        },
+    )
+    .expect("ladder path");
+    assert_eq!(report.fingerprint(), scalar.fingerprint());
 }
