@@ -89,6 +89,14 @@ fn comparator_report_is_thread_count_invariant() {
     assert_eq!(serial.cache_entries, parallel.cache_entries);
     // And the digest covers everything else (floats bit-for-bit).
     assert_eq!(serial.fingerprint(), parallel.fingerprint());
+    // Pinned absolute value: a solver change that moves a single bit of
+    // any reported float must fail here, not only in the perf harness.
+    // (A deliberate numeric change re-pins it in the same commit.)
+    assert_eq!(
+        serial.fingerprint(),
+        0x1509_6446_a663_dca1,
+        "comparator report fingerprint drifted"
+    );
 }
 
 #[test]
@@ -252,4 +260,10 @@ fn fixed_seed_anchor_invariants() {
     )
     .expect("ladder path");
     assert_eq!(report.fingerprint(), scalar.fingerprint());
+    // Pinned absolute value of the whole anchor report, floats included.
+    assert_eq!(
+        report.fingerprint(),
+        0x0ac5_564f_35f4_0d44,
+        "ladder anchor report fingerprint drifted"
+    );
 }
