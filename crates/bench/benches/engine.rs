@@ -16,7 +16,7 @@ use dotm_defects::{collapse, DefectStatistics, Sprinkler};
 use dotm_layout::{Layer, Rect, ShapeId, SpatialIndex};
 use dotm_rng::rngs::StdRng;
 use dotm_rng::{Rng, SeedableRng};
-use dotm_sim::{DenseMatrix, Simulator};
+use dotm_sim::{DenseMatrix, LuFactors, Simulator};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -58,35 +58,64 @@ fn bench<R>(filter: &Option<String>, name: &str, mut f: impl FnMut() -> R) {
     );
 }
 
-fn bench_dense_lu(filter: &Option<String>) {
-    for n in [16usize, 64, 128] {
-        let mut seed = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed as f64 / u64::MAX as f64) - 0.5
-        };
-        let mut m = DenseMatrix::zeros(n);
-        for r in 0..n {
-            let mut rowsum = 0.0;
-            for cc in 0..n {
-                if r != cc {
-                    let v = next();
-                    m.set(r, cc, v);
-                    rowsum += v.abs();
-                }
-            }
-            m.set(r, r, rowsum + 1.0);
+/// A 50-unknown system with the comparator testbench's MNA pattern: 40
+/// node rows carrying conductance and transconductance stamps, then 10
+/// voltage-source branch rows whose structurally zero diagonals force
+/// row interchanges. It has 210 nonzeros, which partial pivoting fills
+/// to 779; captured comparator matrices average about 230 and 770.
+fn mna_pattern_system() -> DenseMatrix {
+    const NODES: usize = 40;
+    const SOURCES: usize = 10;
+    let mut seed = 0x1234_5678_9abc_def0u64;
+    let mut unit = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut m = DenseMatrix::zeros(NODES + SOURCES);
+    for p in 0..NODES {
+        // A conductance to a nearby node (or to ground past the last).
+        let g = 10f64.powf(-6.0 + 5.0 * unit());
+        let q = p + 1 + (unit() * 4.0) as usize;
+        m.add(p, p, g);
+        if q < NODES {
+            m.add(q, q, g);
+            m.add(p, q, -g);
+            m.add(q, p, -g);
         }
-        let rhs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        bench(filter, &format!("dense_lu/solve_{n}x{n}"), || {
-            let mut m = m.clone();
-            let mut rhs = rhs.clone();
-            assert!(m.solve_in_place(&mut rhs).is_ok());
-            rhs
-        });
+        // A transconductance controlled by (gate, source) elsewhere in
+        // the cell.
+        let gm = 10f64.powf(-5.0 + 3.0 * unit());
+        let gate = (unit() * NODES as f64) as usize;
+        let src = (unit() * NODES as f64) as usize;
+        if gate != p {
+            m.add(p, gate, gm);
+        }
+        if src != p {
+            m.add(p, src, -gm);
+        }
     }
+    for b in 0..SOURCES {
+        let (row, node) = (NODES + b, b * NODES / SOURCES);
+        m.add(row, node, 1.0);
+        m.add(node, row, 1.0);
+    }
+    m
+}
+
+fn bench_dense_lu(filter: &Option<String>) {
+    // The production path: every Newton iteration refactors and solves.
+    let m = mna_pattern_system();
+    let n = m.dim();
+    let rhs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let mut lu = LuFactors::new();
+    bench(filter, &format!("dense_lu/refactor_solve_mna_{n}"), || {
+        lu.refactor(&m).expect("regular MNA system");
+        let mut x = rhs.clone();
+        lu.solve(&mut x);
+        x
+    });
 }
 
 fn bench_sprinkle(filter: &Option<String>) {

@@ -10,7 +10,9 @@
 //!   [`dotm_netlist::Netlist`], with independent-source branch currents as
 //!   extra unknowns.
 //! * **Dense LU** with partial pivoting — macro cells are ≤ a few hundred
-//!   unknowns, where dense factorisation outperforms sparse bookkeeping.
+//!   unknowns; the kernel skips zero multipliers and trims each row
+//!   update to the pivot row's last nonzero instead of keeping a sparse
+//!   index (see [`LuFactors::refactor`]).
 //! * **Newton–Raphson** with per-iteration voltage-step limiting, plus
 //!   *gmin stepping* and *source stepping* homotopies for hard operating
 //!   points (fault-injected circuits are routinely pathological).

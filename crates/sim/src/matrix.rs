@@ -1,9 +1,19 @@
 //! Dense real matrix with LU factorisation.
 //!
 //! The macro cells simulated in this workspace have at most a few hundred
-//! unknowns, where a cache-friendly dense LU with partial pivoting beats a
-//! sparse solver both in code complexity and in wall-clock time. (The
-//! `dense_lu` criterion bench quantifies this.)
+//! unknowns and are factored densely. The hot system is the comparator
+//! testbench's: 50 unknowns, about 230 of the 2 500 entries nonzero,
+//! filled to about 770 by natural-order partial pivoting (averages over
+//! 200 Newton matrices captured from a comparator campaign). With a
+//! third of the factors nonzero, the factorisation kernel keeps the
+//! dense layout and skips the zeros it can prove: rows with a zero
+//! multiplier, and the cells past the pivot row's last nonzero.
+//!
+//! [`LuFactors::refactor`] is bit-for-bit the textbook right-looking
+//! elimination with partial pivoting: the same pivot rows, multipliers,
+//! factor bytes and singularity verdict. The textbook loop survives as
+//! the test oracle that pins this. The `dense_lu` bench case times
+//! refactor + solve on a 50-unknown MNA-pattern system.
 //!
 //! Factorisation and solution are split: [`LuFactors`] holds the packed
 //! `L`/`U` triangles plus the pivot permutation, so one factorisation can
@@ -209,6 +219,9 @@ pub struct LuFactors {
     /// `piv[k]` is the row swapped with `k` at elimination step `k`
     /// (`piv[k] == k` when no interchange happened).
     piv: Vec<usize>,
+    /// Working buffer for `refactor`: the running maximum magnitude of each
+    /// column over the finished `U` rows.
+    col_max: Vec<f64>,
 }
 
 impl LuFactors {
@@ -232,30 +245,64 @@ impl LuFactors {
     /// [`DenseMatrix::solve_in_place`]; on failure the factor contents
     /// are unspecified and the previous factorisation is lost.
     ///
+    /// The kernel is bit-for-bit the textbook right-looking elimination
+    /// (kept as the test oracle): the same pivots, the same multipliers,
+    /// the same singularity verdict, and every trailing cell receives the
+    /// same subtractions in ascending `k`. It only does less work per
+    /// step:
+    /// - the pivot row and the rows below it are disjoint borrows, so
+    ///   the row update is a bounds-check-free slice loop;
+    /// - the column maxima of the singularity test are running maxima,
+    ///   folded in once per finished `U` row (`f64::max` is exact and
+    ///   ignores NaN, so the fold order cannot change them);
+    /// - column `k + 1`'s pivot search rides along with step `k`'s row
+    ///   updates, visiting the rows in the same order;
+    /// - a zero below the pivot gets its signed-zero multiplier from a
+    ///   multiply instead of a division;
+    /// - a row update stops at the last nonzero of the pivot row. A
+    ///   skipped cell would compute `x − f·0`, which is `x` for finite
+    ///   `f` unless `x` is `-0.0`; non-finite multipliers update the
+    ///   full row.
+    ///
+    /// Bit-identity therefore needs `a` to hold no `-0.0`, which
+    /// assembly guarantees: it sums stamps onto `+0.0` (or `gmin`), and
+    /// no sum or difference of other values is `-0.0`, so elimination
+    /// never creates one either. Debug builds assert it. (Given a
+    /// `-0.0`, the factors still hold the same values; only the sign of
+    /// a zero cell can differ.)
+    ///
     /// # Errors
     /// [`SingularInfo`] naming the offending column and its best pivot.
     pub fn refactor(&mut self, a: &DenseMatrix) -> Result<(), SingularInfo> {
+        debug_assert!(
+            !a.data.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()),
+            "matrix to factor holds -0.0"
+        );
         let n = a.n;
         self.n = n;
         self.lu.clear();
         self.lu.extend_from_slice(&a.data);
         self.piv.clear();
         self.piv.resize(n, 0);
-        let lu = &mut self.lu;
+        self.col_max.clear();
+        self.col_max.resize(n, 0.0);
+        if n == 0 {
+            return Ok(());
+        }
+        // Pivot search for column 0; every later column is searched
+        // while the previous step updates its rows.
+        let mut piv = 0;
+        let mut max = self.lu[0].abs();
+        for (i, row) in self.lu.chunks_exact(n).enumerate().skip(1) {
+            let v = row[0].abs();
+            if v > max {
+                max = v;
+                piv = i;
+            }
+        }
         for k in 0..n {
-            let mut piv = k;
-            let mut max = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > max {
-                    max = v;
-                    piv = i;
-                }
-            }
-            let mut col_max = max;
-            for i in 0..k {
-                col_max = col_max.max(lu[i * n + k].abs());
-            }
+            // `col_max[k]` holds max |U[i][k]| over the rows i < k.
+            let col_max = max.max(self.col_max[k]);
             if max.is_nan() || max <= col_max * 1e-14 {
                 return Err(SingularInfo {
                     col: k,
@@ -263,24 +310,48 @@ impl LuFactors {
                 });
             }
             self.piv[k] = piv;
+            let (done, below) = self.lu.split_at_mut((k + 1) * n);
+            let row_k = &mut done[k * n..];
             if piv != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, piv * n + j);
-                }
+                let p = (piv - k - 1) * n;
+                row_k.swap_with_slice(&mut below[p..p + n]);
             }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                // `factor == 0.0` rows are skipped exactly as in the fused
-                // path (an underflowed multiplier must not turn a later
-                // `inf · 0` into NaN); the zero multiplier stored here
-                // makes `solve` skip the same rows.
-                lu[i * n + k] = factor;
-                if factor == 0.0 {
-                    continue;
+            // Row k is final from here on.
+            let u = &row_k[k + 1..];
+            for (m, &x) in self.col_max[k + 1..].iter_mut().zip(u) {
+                *m = m.max(x.abs());
+            }
+            let pivot = row_k[k];
+            let width = u.iter().rposition(|&x| x != 0.0).map_or(0, |j| j + 1);
+            for (r, row) in below.chunks_exact_mut(n).enumerate() {
+                let x = row[k];
+                if x == 0.0 {
+                    // `±0 / pivot` is the signed zero `±0 · pivot`
+                    // (the pivot is finite and nonzero), without the
+                    // divider.
+                    row[k] = x * pivot;
+                } else {
+                    let factor = x / pivot;
+                    // `factor == 0.0` rows are skipped exactly as in the
+                    // fused path (an underflowed multiplier must not turn
+                    // a later `inf · 0` into NaN); the zero multiplier
+                    // stored here makes `solve` skip the same rows.
+                    row[k] = factor;
+                    if factor != 0.0 {
+                        let w = if factor.is_finite() { width } else { u.len() };
+                        for (y, &ukj) in row[k + 1..k + 1 + w].iter_mut().zip(&u[..w]) {
+                            *y -= factor * ukj;
+                        }
+                    }
                 }
-                for j in (k + 1)..n {
-                    lu[i * n + j] -= factor * lu[k * n + j];
+                // Column k + 1's pivot search: the first row seeds it
+                // (NaN included), later rows need a strictly larger value.
+                if let Some(&next) = row.get(k + 1) {
+                    let v = next.abs();
+                    if r == 0 || v > max {
+                        max = v;
+                        piv = k + 1 + r;
+                    }
                 }
             }
         }
@@ -559,6 +630,7 @@ mod tests {
         {
             let n = 3 + i * 17;
             let m = random_system(n, seed);
+            assert_matches_reference(&m, &format!("seed {seed} n {n}")).expect("well-conditioned");
             let rhs: Vec<f64> = (0..n).map(|k| ((k * 7 % 13) as f64) - 6.0).collect();
 
             let mut fused = m.clone();
@@ -595,6 +667,8 @@ mod tests {
                     m.set((r + 1) % n, c, base.get(r, c));
                 }
             }
+            assert_matches_reference(&m, &format!("rotated seed {seed}"))
+                .expect("well-conditioned");
             let rhs: Vec<f64> = (0..n).map(|k| ((k * 11 % 17) as f64) - 8.0).collect();
 
             let mut fused = m.clone();
@@ -658,6 +732,306 @@ mod tests {
         let mut bf = rhs.clone();
         fresh.solve_in_place(&mut bf).expect("m2 solves");
         assert_close(&bf, &b, "m2");
+    }
+
+    /// The textbook right-looking elimination that `LuFactors::refactor`
+    /// must reproduce bit for bit: full-width row updates, a fresh
+    /// column-maximum scan per step and element-wise row swaps.
+    fn refactor_reference(a: &DenseMatrix) -> Result<(Vec<f64>, Vec<usize>), SingularInfo> {
+        let n = a.n;
+        let mut lu = a.data.clone();
+        let mut pivots = vec![0; n];
+        for k in 0..n {
+            let mut piv = k;
+            let mut max = lu[k * n + k].abs();
+            for i in (k + 1)..n {
+                let v = lu[i * n + k].abs();
+                if v > max {
+                    max = v;
+                    piv = i;
+                }
+            }
+            let mut col_max = max;
+            for i in 0..k {
+                col_max = col_max.max(lu[i * n + k].abs());
+            }
+            if max.is_nan() || max <= col_max * 1e-14 {
+                return Err(SingularInfo {
+                    col: k,
+                    pivot_mag: max,
+                });
+            }
+            pivots[k] = piv;
+            if piv != k {
+                for j in 0..n {
+                    lu.swap(k * n + j, piv * n + j);
+                }
+            }
+            let pivot = lu[k * n + k];
+            for i in (k + 1)..n {
+                let factor = lu[i * n + k] / pivot;
+                lu[i * n + k] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for j in (k + 1)..n {
+                    lu[i * n + j] -= factor * lu[k * n + j];
+                }
+            }
+        }
+        Ok((lu, pivots))
+    }
+
+    /// Asserts `refactor` matches the reference bit for bit: the same
+    /// `Ok`/`Err`, the same singular column and pivot magnitude, and on
+    /// success the same packed factor bytes and pivot sequence.
+    fn assert_matches_reference(m: &DenseMatrix, ctx: &str) -> Result<(), SingularInfo> {
+        let mut lu = LuFactors::new();
+        let fast = lu.refactor(m);
+        match (refactor_reference(m), fast) {
+            (Ok((packed, pivots)), Ok(())) => {
+                assert_eq!(lu.piv, pivots, "{ctx}: pivot sequence");
+                for (idx, (x, y)) in lu.lu.iter().zip(&packed).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{ctx}: cell ({}, {}): {x:e} vs {y:e}",
+                        idx / m.n,
+                        idx % m.n
+                    );
+                }
+                Ok(())
+            }
+            (Err(r), Err(f)) => {
+                assert_eq!(r.col, f.col, "{ctx}: singular column");
+                assert_eq!(
+                    r.pivot_mag.to_bits(),
+                    f.pivot_mag.to_bits(),
+                    "{ctx}: pivot magnitude"
+                );
+                Err(f)
+            }
+            (r, f) => panic!("{ctx}: reference {:?} vs kernel {f:?}", r.map(|_| ())),
+        }
+    }
+
+    /// A seeded MNA-like system: `nodes` node rows stamped with
+    /// conductances and transistor-like transconductances, then one
+    /// branch row per voltage source with the structurally zero diagonal
+    /// that forces row interchanges. Entries are summed onto a zero
+    /// matrix the way assembly stamps them.
+    fn mna_system(nodes: usize, sources: usize, seed0: u64) -> DenseMatrix {
+        let n = nodes + sources;
+        let mut m = DenseMatrix::zeros(n);
+        let mut seed = seed0 | 1;
+        let mut unit = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Node index `nodes` stands for ground, which has no row.
+        let node = |u: f64| ((u * (nodes + 1) as f64) as usize).min(nodes);
+        for p in 0..nodes {
+            // Every node gets a path to some other node or ground.
+            let q = node(unit());
+            let g = 10f64.powf(-6.0 + 5.0 * unit());
+            m.add(p, p, g);
+            if q < nodes && q != p {
+                m.add(q, q, g);
+                m.add(p, q, -g);
+                m.add(q, p, -g);
+            }
+            // A transconductance: current into `p` controlled by the
+            // voltage across (gate, source).
+            if unit() < 0.6 {
+                let (gate, src) = (node(unit()), node(unit()));
+                let gm = 10f64.powf(-5.0 + 3.0 * unit());
+                if gate < nodes {
+                    m.add(p, gate, gm);
+                }
+                if src < nodes {
+                    m.add(p, src, -gm);
+                }
+            }
+        }
+        for b in nodes..n {
+            let p = b - nodes;
+            let q = node(unit());
+            m.add(b, p, 1.0);
+            m.add(p, b, 1.0);
+            if q < nodes && q != p {
+                m.add(b, q, -1.0);
+                m.add(q, b, -1.0);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn refactor_is_bitwise_the_reference_on_mna_systems() {
+        let mut factored = 0;
+        for seed in 0..400u64 {
+            let nodes = 4 + (seed as usize * 7) % 44;
+            let sources = 1 + (seed as usize) % 9;
+            let m = mna_system(nodes, sources, seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            if assert_matches_reference(&m, &format!("mna seed {seed}")).is_ok() {
+                factored += 1;
+            }
+        }
+        // Most seeded systems are regular; the rest exercise the
+        // singular branch with the same column and pivot.
+        assert!(factored > 200, "only {factored} of 400 factored");
+    }
+
+    #[test]
+    fn refactor_is_bitwise_the_reference_on_singular_systems() {
+        for seed in 0..60u64 {
+            let base = mna_system(20, 4, seed + 1);
+            let n = base.dim();
+            // Rank-deficient: one row repeats another exactly.
+            let mut dup = base.clone();
+            let (src, dst) = ((seed as usize) % n, (seed as usize * 5 + 3) % n);
+            if src != dst {
+                for c in 0..n {
+                    dup.set(dst, c, base.get(src, c));
+                }
+                let info = assert_matches_reference(&dup, &format!("dup seed {seed}"))
+                    .expect_err("duplicated row is singular");
+                assert!(info.col < n);
+            }
+            // A floating node: an all-zero column.
+            let mut floating = base.clone();
+            for r in 0..n {
+                floating.set(r, seed as usize % n, 0.0);
+            }
+            assert_matches_reference(&floating, &format!("floating seed {seed}"))
+                .expect_err("zero column is singular");
+            // Near-singular: one row is another plus a perturbation at
+            // and just above the 1e-14 relative threshold.
+            for eps in [1e-17, 1e-15, 1e-13, 1e-9] {
+                let mut near = base.clone();
+                if src != dst {
+                    for c in 0..n {
+                        let v = base.get(src, c);
+                        near.set(dst, c, v + eps * v.abs() * ((c % 3) as f64 - 1.0));
+                    }
+                }
+                let _ = assert_matches_reference(&near, &format!("near {eps:e} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn refactor_is_bitwise_the_reference_at_extreme_scales() {
+        for seed in 0..40u64 {
+            let base = mna_system(30, 6, seed ^ 0xD07);
+            for scale in [1e300, 1e-300, 1e-310] {
+                let mut m = base.clone();
+                for v in &mut m.data {
+                    *v *= scale;
+                }
+                let _ = assert_matches_reference(&m, &format!("scale {scale:e} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn refactor_keeps_signed_zero_multipliers() {
+        // A zero below a negative pivot stores a `-0.0` multiplier.
+        let mut m = DenseMatrix::zeros(2);
+        m.set(0, 0, -2.0);
+        m.set(0, 1, 1.0);
+        m.set(1, 1, 3.0);
+        assert_matches_reference(&m, "negative pivot").expect("regular");
+        let mut lu = LuFactors::new();
+        lu.refactor(&m).expect("regular");
+        assert_eq!(lu.lu[2].to_bits(), (-0.0f64).to_bits());
+        // Negated MNA systems pivot on negative values throughout, so
+        // `-0.0` multipliers land in `L` and move with later row swaps.
+        // `U` itself never holds `-0.0`: elimination cannot create one,
+        // which is what lets a row update stop at the pivot row's last
+        // nonzero.
+        let mut negative_zeros = 0;
+        for seed in 0..40u64 {
+            let mut m = mna_system(16, 4, seed + 7);
+            for v in &mut m.data {
+                *v = 0.0 - *v;
+            }
+            if assert_matches_reference(&m, &format!("negated seed {seed}")).is_err() {
+                continue;
+            }
+            let mut lu = LuFactors::new();
+            lu.refactor(&m).expect("factored above");
+            let n = m.dim();
+            for (idx, v) in lu.lu.iter().enumerate() {
+                if v.to_bits() == (-0.0f64).to_bits() {
+                    assert!(idx % n < idx / n, "seed {seed}: -0.0 in U at {idx}");
+                    negative_zeros += 1;
+                }
+            }
+        }
+        assert!(negative_zeros > 0, "no -0.0 multiplier exercised");
+    }
+
+    #[test]
+    fn refactor_is_bitwise_the_reference_with_non_finite_entries() {
+        // A non-finite multiplier under a pivot row that is zero past the
+        // diagonal: the reference turns the whole row into NaN (`inf·0`),
+        // so the update may not stop at the pivot row's last nonzero.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = DenseMatrix::zeros(4);
+            for i in 0..4 {
+                m.set(i, i, 1.0);
+            }
+            m.set(2, 0, bad);
+            assert_matches_reference(&m, &format!("{bad} multiplier"))
+                .expect_err("the NaN row reaches its diagonal");
+        }
+        // NaN in a finished `U` row whose column is already eliminated:
+        // the column maxima ignore it, so the factorisation succeeds and
+        // only the solve sees it, which must then come out non-finite
+        // for Newton to report the matrix singular. (An infinite entry
+        // there makes its column's maximum infinite, which no pivot
+        // passes.)
+        for seed in 0..20u64 {
+            let n = 6 + seed as usize;
+            let mut upper = random_system(n, seed + 1);
+            for r in 0..n {
+                for c in 0..r {
+                    upper.set(r, c, 0.0);
+                }
+            }
+            let (r, c) = (seed as usize % (n - 1), n - 1 - seed as usize % 3);
+            let mut nan = upper.clone();
+            nan.set(r, c.max(r + 1), f64::NAN);
+            assert_matches_reference(&nan, &format!("NaN in U seed {seed}"))
+                .expect("NaN above eliminated zeros factors");
+            let mut lu = LuFactors::new();
+            lu.refactor(&nan).expect("factored above");
+            let mut b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+            lu.solve(&mut b);
+            assert!(b.iter().any(|x| x.is_nan()), "seed {seed}: finite solve");
+            let mut inf = upper.clone();
+            inf.set(r, c.max(r + 1), f64::INFINITY);
+            assert_matches_reference(&inf, &format!("inf in U seed {seed}"))
+                .expect_err("an infinite column maximum fails every pivot");
+        }
+        // Anywhere in an MNA system: the same verdict both ways.
+        for seed in 0..60u64 {
+            let base = mna_system(24, 5, seed + 99);
+            let n = base.dim();
+            for (k, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                .into_iter()
+                .enumerate()
+            {
+                let mut m = base.clone();
+                let cell = (seed as usize * 31 + k * 17) % (n * n);
+                m.data[cell] = bad;
+                let ctx = format!("{bad} at ({}, {}) seed {seed}", cell / n, cell % n);
+                let _ = assert_matches_reference(&m, &ctx);
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,12 @@ cargo build --release --locked
 echo "==> tier 1: test suite (workspace)"
 cargo test -q --workspace --locked
 
+echo "==> tier 1: LU kernel bit-identity oracle (release profile)"
+# The workspace tests build with debug assertions and overflow checks;
+# the vectorised row update the binaries ship is the release build's,
+# so its bit-identity with the textbook elimination is pinned there too.
+cargo test -q --release --locked -p dotm-sim --lib matrix::tests
+
 echo "==> smoke: table1 (small sprinkle)"
 DOTM_DEFECTS=4000 DOTM_TABLE1_FULL=100000 \
     cargo run --release --locked -p dotm-bench --bin table1
