@@ -78,9 +78,6 @@
 use dotm_bench::{
     obs_finish, obs_fold_solver, obs_init, print_global_accounting, rule, standard_config,
 };
-use dotm_core::harnesses::{
-    BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
-};
 use dotm_core::{
     run_macro_path_with_faults_hooked, ClassObserver, ClassOutcome, FanoutObserver, GlobalReport,
     MacroHarness, MacroReport, PathError, PipelineConfig, PipelineHooks, ShardSpec,
@@ -234,11 +231,7 @@ fn prepare(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> MacroPrep {
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
     let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let area = layout
-        .bbox()
-        .map(|b| b.expanded(cfg.stats.size.xmax / 2))
-        .map(|b| b.area() as f64)
-        .unwrap_or(0.0);
+    let area = sprinkler.area_nm2();
     let classes = match cfg.max_classes {
         Some(n) => collapsed.class_count().min(n),
         None => collapsed.class_count(),
@@ -418,16 +411,6 @@ fn run_macro(
     }
 }
 
-fn harnesses() -> Vec<Box<dyn MacroHarness>> {
-    vec![
-        Box::new(ComparatorHarness::production()),
-        Box::new(LadderHarness),
-        Box::new(BiasHarness::default()),
-        Box::new(ClockgenHarness::default()),
-        Box::new(DecoderHarness::default()),
-    ]
-}
-
 /// Spawns shard workers for `needed`, waits for all, and forwards their
 /// stdout/stderr to the coordinator's stderr (worker chatter must never
 /// reach the byte-identity-checked stdout).
@@ -544,26 +527,11 @@ fn main() {
     let mut cfg = standard_config();
     cfg.measure_cache = false; // see the module docs: the store subsumes it
 
-    let harnesses = match dotm_core::env::macros() {
-        Some(selection) => {
-            let all = harnesses();
-            for name in &selection {
-                if !all.iter().any(|h| h.name() == name.as_str()) {
-                    eprintln!(
-                        "campaign: DOTM_MACROS: unknown macro {name:?} (know: {})",
-                        all.iter().map(|h| h.name()).collect::<Vec<_>>().join(", ")
-                    );
-                    std::process::exit(exit::USAGE);
-                }
-            }
-            // Campaign order, not request order: the subset must report
-            // in the same sequence the full campaign would.
-            all.into_iter()
-                .filter(|h| selection.iter().any(|n| n.as_str() == h.name()))
-                .collect()
-        }
-        None => harnesses(),
-    };
+    let selection = dotm_core::env::macros();
+    let harnesses = dotm_core::harnesses::select(selection.as_deref(), false).unwrap_or_else(|e| {
+        eprintln!("campaign: DOTM_MACROS: {e}");
+        std::process::exit(exit::USAGE);
+    });
 
     // Coordinator: drive the workers, then fall through to the merge.
     let mode = match mode {

@@ -1,22 +1,37 @@
-//! Diagnostic: lists every fault class of the comparator path with its
+//! Diagnostic: lists every fault class of a macro path with its
 //! signature and detections, then the undetected classes — the input to
 //! the paper's DfT analysis ("the methodology used makes it easy to
 //! investigate the reasons for the undetectability of faults").
+//!
+//! Runs the comparator, or each macro named in `DOTM_MACROS` (in
+//! campaign order; an unknown name exits 2). `DOTM_DFT=1` selects the
+//! comparator's DfT variant.
 
-use dotm_bench::{comparator_report, print_macro_accounting, run_with_progress};
-use dotm_core::harnesses::{BiasHarness, ClockgenHarness, DecoderHarness, LadderHarness};
+use dotm_bench::{print_macro_accounting, run_with_progress};
+use dotm_core::harnesses;
+use dotm_core::MacroReport;
 use dotm_faults::Severity;
 
 fn main() {
-    let dft = dotm_core::env::bool_knob("DOTM_DFT", false);
-    let which = std::env::var("DOTM_MACRO").unwrap_or_else(|_| "comparator".into());
-    let report = match which.as_str() {
-        "ladder" => run_with_progress(&LadderHarness),
-        "bias" => run_with_progress(&BiasHarness::default()),
-        "clockgen" => run_with_progress(&ClockgenHarness::default()),
-        "decoder" => run_with_progress(&DecoderHarness::default()),
-        _ => comparator_report(dft),
-    };
+    let selection = dotm_core::env::macros().unwrap_or_else(|| vec!["comparator".into()]);
+    let selected = harnesses::select(Some(&selection), dotm_core::env::dft()).unwrap_or_else(|e| {
+        eprintln!("diag: DOTM_MACROS: {e}");
+        std::process::exit(dotm_serve::exit::USAGE);
+    });
+    for harness in &selected {
+        let report = run_with_progress(harness.as_ref());
+        // Several listings are told apart by a name line; a lone one
+        // needs none.
+        if selected.len() > 1 {
+            println!();
+            println!("##### {} #####", report.name);
+        }
+        print_classes(&report);
+        print_macro_accounting(&report);
+    }
+}
+
+fn print_classes(report: &MacroReport) {
     for severity in [Severity::Catastrophic, Severity::NonCatastrophic] {
         println!();
         println!("=== {severity:?} ===");
@@ -45,5 +60,4 @@ fn main() {
             100.0 * undetected / total.max(1.0)
         );
     }
-    print_macro_accounting(&report);
 }

@@ -1,6 +1,6 @@
 //! Sharded-campaign validation: runs the `campaign` binary once
-//! single-process and once as a coordinator with N shard workers
-//! (`--workers N`), both against fresh store trees, then asserts the
+//! single-process and once as a coordinator with two shard workers
+//! (`--workers 2`), both against fresh store trees, then asserts the
 //! tentpole byte-identity contract:
 //!
 //! * every per-macro report **fingerprint** is identical,
@@ -15,15 +15,17 @@
 //! This is an identity gate only; the wall clock of sharded campaigns is
 //! measured end to end by `perfbench`.
 //!
-//! Knobs: `DOTM_SHARD_WORKERS` (worker count, default 2), plus the
-//! standard campaign knobs, which pass through to both runs. When unset,
-//! the smoke sizes (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good
+//! The standard campaign knobs pass through to both runs; when unset, the
+//! smoke sizes (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good
 //! space) are pinned explicitly.
 //!
 //! Exits non-zero on any identity violation or a failed child process.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// Shard workers of the sharded run.
+const WORKERS: usize = 2;
 
 /// Smoke-size defaults pinned into both children when the caller left
 /// them unset, so the gate is reproducible regardless of the invoking
@@ -110,19 +112,18 @@ fn occupancy_line(stdout: &str) -> String {
 }
 
 fn main() {
-    let workers = dotm_core::env::usize_knob("DOTM_SHARD_WORKERS", 2);
     let exe = campaign_exe();
     let root = std::env::temp_dir().join(format!("dotm-shard-speedup-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let dir_single = root.join("single");
     let dir_sharded = root.join("sharded");
 
-    println!("sharded campaign vs single process ({workers} workers)");
+    println!("sharded campaign vs single process ({WORKERS} workers)");
     let out_single = run_campaign(&exe, &dir_single, &[]);
     let out_sharded = run_campaign(
         &exe,
         &dir_sharded,
-        &["--workers".into(), workers.to_string()],
+        &["--workers".into(), WORKERS.to_string()],
     );
 
     // Identity check 1: per-macro report fingerprints.

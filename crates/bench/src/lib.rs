@@ -14,8 +14,9 @@
 //! | `test_time` | §3.2/§4 — test-time comparison |
 //! | `sigma_sweep` | ablation: good-space width vs coverage |
 //!
-//! Runs are deterministic. Environment knobs (all optional):
-//! `DOTM_DEFECTS` (pilot sprinkle size, default 25000),
+//! Runs are deterministic. Every knob is read through [`dotm_core::env`],
+//! whose table lists them all with their defaults. The ones these
+//! binaries share: `DOTM_DEFECTS` (pilot sprinkle size, default 25000),
 //! `DOTM_TABLE1_FULL` (Table 1 recount size, default 10000000),
 //! `DOTM_GS_COMMON` / `DOTM_GS_MM` (good-space Monte-Carlo sizes),
 //! `DOTM_MAX_CLASSES` (truncate to the most frequent classes — smoke runs
@@ -31,7 +32,10 @@
 //! identical either way, and the cache replays solver telemetry so
 //! cache-on reports are bit-identical to cache-off at any thread count.
 //! `DOTM_FACTOR_REUSE` (`1`/`0`, default on: bitwise-exact LU factor
-//! cache — only the occupancy counters in the accounting move).
+//! cache — only the occupancy counters in the accounting move). `diag`
+//! lists the classes of the macros named in `DOTM_MACROS` (default: the
+//! comparator; an unknown name exits 2) and honours `DOTM_DFT` (`1`: the
+//! comparator's DfT variant).
 //!
 //! The `campaign` binary additionally understands the sharding knobs:
 //! `DOTM_SHARD`/`DOTM_SHARDS` (equivalent to `--shard i/N` — evaluate
@@ -40,8 +44,7 @@
 //! workers, default 2) and `DOTM_SHARD_ABORT_ONCE` (fault injection: the
 //! first dispatch round's workers abort after that many classes — CI uses
 //! it to prove crash-and-re-dispatch merges byte-identically). The
-//! `shard_speedup` identity gate honours `DOTM_SHARD_WORKERS` (default
-//! 2).
+//! `shard_speedup` identity gate always runs 2 workers.
 //!
 //! `DOTM_TRACE` (`1`/`0`, default off) turns on the [`dotm_obs`]
 //! observability recorder: the binary appends a per-phase wall-clock
@@ -56,10 +59,8 @@
 //! solver escalation (and to which rung), and the total solver work. On a
 //! healthy paper-parity run the failure counters are all zero.
 
-use dotm_core::env::{sim_failure_policy, u64_knob, usize_knob};
-use dotm_core::harnesses::{
-    BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
-};
+use dotm_core::env::{self, sim_failure_policy};
+use dotm_core::harnesses::ComparatorHarness;
 use dotm_core::{
     par_map, run_macro_path, ExecConfig, GlobalReport, GoodSpaceConfig, MacroHarness, MacroReport,
     PipelineConfig,
@@ -114,26 +115,23 @@ pub fn obs_finish(label: &str) {
 }
 
 /// The standard pipeline configuration, honouring the environment knobs.
+/// The good space is seeded with `DOTM_SEED ^ 0xD07`.
 pub fn standard_config() -> PipelineConfig {
-    let max_classes = match usize_knob("DOTM_MAX_CLASSES", 0) {
-        0 => None,
-        n => Some(n),
-    };
+    let seed = env::seed();
     PipelineConfig {
-        defects: usize_knob("DOTM_DEFECTS", 25_000),
-        seed: u64_knob("DOTM_SEED", 1995),
+        defects: env::defects(),
+        seed,
         goodspace: GoodSpaceConfig {
-            common_samples: usize_knob("DOTM_GS_COMMON", 5),
-            mismatch_samples: usize_knob("DOTM_GS_MM", 4),
-            seed: u64_knob("DOTM_SEED", 1995) ^ 0xD07,
-            ..GoodSpaceConfig::default()
+            common_samples: env::gs_common(),
+            mismatch_samples: env::gs_mm(),
+            seed: seed ^ 0xD07,
         },
-        max_classes,
+        max_classes: env::max_classes(),
         sim_failure_policy: sim_failure_policy(),
-        warm_start: dotm_core::env::warm_start(),
-        measure_cache: dotm_core::env::measure_cache(),
-        factor_reuse: dotm_core::env::factor_reuse(),
-        batch_assembly: dotm_core::env::batch_assembly(),
+        warm_start: env::warm_start(),
+        measure_cache: env::measure_cache(),
+        factor_reuse: env::factor_reuse(),
+        batch_assembly: env::batch_assembly(),
         ..PipelineConfig::default()
     }
 }
@@ -176,18 +174,7 @@ pub fn run_with_progress(harness: &dyn MacroHarness) -> MacroReport {
 /// independent runs); the report order — and every number in it — is
 /// identical to the serial path regardless of `DOTM_THREADS`.
 pub fn global_report(dft: bool) -> GlobalReport {
-    let comparator: Box<dyn MacroHarness> = Box::new(if dft {
-        ComparatorHarness::dft()
-    } else {
-        ComparatorHarness::production()
-    });
-    let harnesses: Vec<Box<dyn MacroHarness>> = vec![
-        comparator,
-        Box::new(LadderHarness),
-        Box::new(BiasHarness::default()),
-        Box::new(ClockgenHarness::default()),
-        Box::new(DecoderHarness::default()),
-    ];
+    let harnesses = dotm_core::harnesses::select(None, dft).expect("all macros");
     let reports = par_map(&ExecConfig::default(), &harnesses, |_, harness| {
         run_with_progress(harness.as_ref())
     });

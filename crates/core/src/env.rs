@@ -35,9 +35,22 @@
 //! | `DOTM_PROGRESS` | per-class `[progress]` lines on stderr (service event feed) | off |
 //! | `DOTM_SERVE_POLL_MS` | service accept-loop / event-stream poll interval (ms) | 25 |
 //! | `DOTM_SERVE_WORKERS` | default shard workers per service job (`0` = one process) | 0 |
-//! | `DOTM_MACROS` | comma-separated macro subset the campaign runs | all |
+//! | `DOTM_SERVE_IO_TIMEOUT_MS` | service socket read/write timeout (ms) | 10000 |
+//! | `DOTM_MACROS` | comma-separated macro subset the campaign (or `diag`) runs | all (`diag`: comparator) |
+//! | `DOTM_DEFECTS` | defects sprinkled per macro | 25000 |
+//! | `DOTM_SEED` | sprinkle seed; the good-space seed is `seed ^ 0xD07` | 1995 |
+//! | `DOTM_GS_COMMON` | good-space common (die-wide) samples | 5 |
+//! | `DOTM_GS_MM` | good-space mismatch samples per common sample | 4 |
+//! | `DOTM_MAX_CLASSES` | evaluate only the most frequent classes (`0` = all; smoke runs only) | all |
+//! | `DOTM_TABLE1_FULL` | `table1`'s recount sprinkle size | 10000000 |
+//! | `DOTM_DFT` | `diag` runs the comparator's DfT variant | off |
+//!
+//! The campaign-size defaults are [`PipelineConfig::default`]'s and
+//! [`GoodSpaceConfig::default`]'s, so a run with no knob set is the
+//! library's default configuration.
 
-use crate::pipeline::SimFailurePolicy;
+use crate::goodspace::GoodSpaceConfig;
+use crate::pipeline::{PipelineConfig, SimFailurePolicy};
 use std::path::PathBuf;
 
 /// Parses a boolean knob value: `1`/`true`/`on`/`yes` vs
@@ -330,6 +343,73 @@ pub fn macros() -> Option<Vec<String>> {
     }
 }
 
+/// The `DOTM_DEFECTS` knob: defects sprinkled per macro (default
+/// [`PipelineConfig::default`]'s, 25 000).
+///
+/// # Panics
+/// On a malformed value.
+pub fn defects() -> usize {
+    usize_knob("DOTM_DEFECTS", PipelineConfig::default().defects)
+}
+
+/// The `DOTM_SEED` knob: the sprinkle seed (default
+/// [`PipelineConfig::default`]'s, 1995). Campaigns seed the good space
+/// with `seed ^ 0xD07`.
+///
+/// # Panics
+/// On a malformed value.
+pub fn seed() -> u64 {
+    u64_knob("DOTM_SEED", PipelineConfig::default().seed)
+}
+
+/// The `DOTM_GS_COMMON` knob: good-space common samples (default
+/// [`GoodSpaceConfig::default`]'s, 5).
+///
+/// # Panics
+/// On a malformed value.
+pub fn gs_common() -> usize {
+    usize_knob("DOTM_GS_COMMON", GoodSpaceConfig::default().common_samples)
+}
+
+/// The `DOTM_GS_MM` knob: good-space mismatch samples per common sample
+/// (default [`GoodSpaceConfig::default`]'s, 4).
+///
+/// # Panics
+/// On a malformed value.
+pub fn gs_mm() -> usize {
+    usize_knob("DOTM_GS_MM", GoodSpaceConfig::default().mismatch_samples)
+}
+
+/// The `DOTM_MAX_CLASSES` knob: evaluate only the `n` most frequent
+/// classes. `0` means all, as does unset ([`PipelineConfig::default`]'s
+/// `None`).
+///
+/// # Panics
+/// On a malformed value.
+pub fn max_classes() -> Option<usize> {
+    knob("DOTM_MAX_CLASSES", parse_usize).map_or(PipelineConfig::default().max_classes, |n| {
+        (n > 0).then_some(n)
+    })
+}
+
+/// The `DOTM_TABLE1_FULL` knob: the defect count of `table1`'s recount
+/// sprinkle (default 10 000 000, the paper's).
+///
+/// # Panics
+/// On a malformed value.
+pub fn table1_full() -> usize {
+    usize_knob("DOTM_TABLE1_FULL", 10_000_000)
+}
+
+/// The `DOTM_DFT` knob (default off): `diag` evaluates the comparator's
+/// DfT variant instead of the production one.
+///
+/// # Panics
+/// On a malformed value.
+pub fn dft() -> bool {
+    bool_knob("DOTM_DFT", false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,6 +484,39 @@ mod tests {
         }
         // The zero-means-off rule is pure; assert it through the parser.
         assert_eq!(parse_u64("0").ok().filter(|&n| n > 0), None);
+    }
+
+    // The campaign-size knobs default to the library defaults (and to
+    // the values the table above documents) wherever the harness leaves
+    // the real variables unset.
+    #[test]
+    fn campaign_size_knobs_default_to_the_library_defaults() {
+        let unset = |name: &str| std::env::var_os(name).is_none();
+        let p = PipelineConfig::default();
+        let g = GoodSpaceConfig::default();
+        assert_eq!((p.defects, p.seed, p.max_classes), (25_000, 1995, None));
+        assert_eq!((g.common_samples, g.mismatch_samples), (5, 4));
+        if unset("DOTM_DEFECTS") {
+            assert_eq!(defects(), p.defects);
+        }
+        if unset("DOTM_SEED") {
+            assert_eq!(seed(), p.seed);
+        }
+        if unset("DOTM_GS_COMMON") {
+            assert_eq!(gs_common(), g.common_samples);
+        }
+        if unset("DOTM_GS_MM") {
+            assert_eq!(gs_mm(), g.mismatch_samples);
+        }
+        if unset("DOTM_MAX_CLASSES") {
+            assert_eq!(max_classes(), p.max_classes);
+        }
+        if unset("DOTM_TABLE1_FULL") {
+            assert_eq!(table1_full(), 10_000_000);
+        }
+        if unset("DOTM_DFT") {
+            assert!(!dft());
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@ use crate::signature::{CurrentFlags, CurrentKind};
 use dotm_rng::rngs::StdRng;
 use dotm_sim::{SimError, SimOptions, SimStats};
 
-/// Monte-Carlo sizes for good-space compilation.
+/// Monte-Carlo sizes for good-space compilation. The solver settings
+/// (options, executor, warm start, batched assembly) are the pipeline's,
+/// passed to [`GoodSpace::compile`], so the good space and the fault
+/// classes judged against it are always solved alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GoodSpaceConfig {
     /// Number of die-wide (common) samples.
@@ -26,25 +29,6 @@ pub struct GoodSpaceConfig {
     pub mismatch_samples: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Parallel execution of the common samples. The result is
-    /// thread-count-invariant: each common sample draws from its own
-    /// `(seed, index)` substream.
-    pub exec: ExecConfig,
-    /// Capture the nominal operating points and use them to warm-start
-    /// Newton on every Monte-Carlo corner (and, downstream, on every
-    /// fault-injected variant). A failed seed falls back to the cold
-    /// homotopy chain, so this only changes solver effort, never whether
-    /// a corner converges from the methodology's point of view.
-    pub warm_start: bool,
-    /// Bitwise-exact LU factor reuse inside the solver (overrides the
-    /// harness's base [`SimOptions`]). May never change a reported bit.
-    pub factor_reuse: bool,
-    /// Split-plan batched assembly (overrides the harness's base
-    /// [`SimOptions`]). The nominal measurement and every Monte-Carlo
-    /// corner share the testbench's compiled stamp split; corners whose
-    /// perturbed devices break the prefix invariant fall back to a local
-    /// split. Bitwise-invisible; on by default.
-    pub batch_assembly: bool,
 }
 
 impl Default for GoodSpaceConfig {
@@ -53,22 +37,8 @@ impl Default for GoodSpaceConfig {
             common_samples: 5,
             mismatch_samples: 4,
             seed: 1995,
-            exec: ExecConfig::default(),
-            warm_start: true,
-            factor_reuse: true,
-            batch_assembly: true,
         }
     }
-}
-
-/// The harness's base options with the config's factorisation knobs
-/// applied — every simulator the compilation spins up goes through this,
-/// so the knobs govern the nominal capture run and all corners alike.
-fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOptions {
-    let mut opts = harness.sim_options();
-    opts.factor_reuse = cfg.factor_reuse;
-    opts.batch_assembly = cfg.batch_assembly;
-    opts
 }
 
 /// Draws common sample `si` — and its `m` mismatch measurements — from
@@ -80,12 +50,12 @@ fn compile_common_sample(
     harness: &dyn MacroHarness,
     model: &ProcessModel,
     cfg: &GoodSpaceConfig,
-    m: usize,
+    opts: &SimOptions,
     si: u64,
     warm: Option<&WarmStart>,
     batch: Batch<'_>,
 ) -> Result<(Vec<Vec<f64>>, SimStats, u64), SimError> {
-    let opts = sim_options_for(harness, cfg);
+    let m = cfg.mismatch_samples.max(1);
     let mut rng = StdRng::seed_from_stream(cfg.seed, si);
     let mut stats = SimStats::default();
     let mut retries: u64 = 0;
@@ -98,7 +68,7 @@ fn compile_common_sample(
             let mut nl = harness.testbench();
             harness.perturb(&mut nl, model, &common, &mut rng);
             let w = warm.map_or(Warm::Cold, Warm::Seed);
-            match harness.measure_with(&nl, &opts, &mut stats, w, batch) {
+            match harness.measure_with(&nl, opts, &mut stats, w, batch) {
                 Ok(v) => per_mm.push(v),
                 Err(e) => {
                     corner_error = Some(e);
@@ -144,7 +114,15 @@ pub struct GoodSpace {
 }
 
 impl GoodSpace {
-    /// Compiles the good space for a harness.
+    /// Compiles the good space for a harness, solving every corner with
+    /// `opts` (the harness's options with the pipeline's solver settings
+    /// applied) and `batch` (the macro's shared compiled assembly, if
+    /// any). With `warm`, the nominal measurement captures its operating
+    /// points into [`GoodSpace::warm`] and every Monte-Carlo corner is
+    /// seeded from them; a failed seed falls back to the cold homotopy
+    /// chain, so this changes solver effort only. The common samples fan
+    /// out over `exec`; the result is thread-count-invariant because each
+    /// one draws from its own `(seed, index)` substream.
     ///
     /// # Errors
     /// Propagates simulator failures (a fault-free circuit failing to
@@ -153,35 +131,29 @@ impl GoodSpace {
         harness: &dyn MacroHarness,
         model: &ProcessModel,
         cfg: GoodSpaceConfig,
+        opts: &SimOptions,
+        exec: &ExecConfig,
+        warm: bool,
+        batch: Batch<'_>,
     ) -> Result<GoodSpace, SimError> {
         let mut solver = SimStats::default();
-        // One compiled stamp split for the whole compilation: the nominal
-        // run adopts it exactly (device-prefix-equal with itself) and each
-        // Monte-Carlo corner tries to — perturbed device parameters fail
+        // The nominal run adopts the shared compiled stamp split exactly
+        // (it is the testbench the split was compiled from) and each
+        // Monte-Carlo corner tries to: perturbed device parameters fail
         // the prefix check, so corners fall back to their local split.
         let testbench = harness.testbench();
-        let shared_asm = cfg
-            .batch_assembly
-            .then(|| std::sync::Arc::new(dotm_sim::SharedAssembly::compile(&testbench)));
-        let batch = Batch::shared(shared_asm.as_ref());
         // The nominal measurement is single-threaded; in warm-start mode
         // it doubles as the capture run for the per-analysis operating
         // points, frozen into an immutable seed table before any parallel
         // work starts (so seeded results cannot depend on scheduling).
         let capture = WarmCapture::new();
-        let nominal_warm = if cfg.warm_start {
+        let nominal_warm = if warm {
             Warm::Capture(&capture)
         } else {
             Warm::Cold
         };
-        let nominal = harness.measure_with(
-            &testbench,
-            &sim_options_for(harness, &cfg),
-            &mut solver,
-            nominal_warm,
-            batch,
-        )?;
-        let warm = cfg.warm_start.then(|| capture.freeze());
+        let nominal = harness.measure_with(&testbench, opts, &mut solver, nominal_warm, batch)?;
+        let warm = warm.then(|| capture.freeze());
         let n = nominal.len();
         let s = cfg.common_samples.max(1);
         let m = cfg.mismatch_samples.max(1);
@@ -193,8 +165,8 @@ impl GoodSpace {
         // so such a sample is redrawn from its own stream (bounded
         // retries) rather than failing the whole compilation.
         let per_sample: Vec<(Vec<Vec<f64>>, SimStats, u64)> =
-            exec::par_map_indices(&cfg.exec, s, |si| {
-                compile_common_sample(harness, model, &cfg, m, si as u64, warm.as_ref(), batch)
+            exec::par_map_indices(exec, s, |si| {
+                compile_common_sample(harness, model, &cfg, opts, si as u64, warm.as_ref(), batch)
             })
             .into_iter()
             .collect::<Result<_, _>>()?;

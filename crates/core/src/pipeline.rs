@@ -138,9 +138,9 @@ pub struct PipelineConfig {
     /// Also evaluate the non-catastrophic (near-miss) variants of shorts
     /// and extra contacts.
     pub non_catastrophic: bool,
-    /// Parallel execution of the per-class fault evaluations. Reports are
-    /// bit-for-bit identical for every thread count; `threads = 1` is the
-    /// plain serial loop.
+    /// Parallel execution of the good-space common samples and of the
+    /// per-class fault evaluations. Reports are bit-for-bit identical for
+    /// every thread count; `threads = 1` is the plain serial loop.
     pub exec: ExecConfig,
     /// Accounting policy for classes that fail to simulate even after the
     /// escalation ladder.
@@ -764,12 +764,7 @@ pub fn run_macro_path(
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
     let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let sprinkle_area = layout
-        .bbox()
-        .map(|b| b.expanded(cfg.stats.size.xmax / 2))
-        .map(|b| b.area() as f64)
-        .unwrap_or(0.0);
-    run_macro_path_with_faults(harness, cfg, &collapsed, sprinkle_area)
+    run_macro_path_with_faults(harness, cfg, &collapsed, sprinkler.area_nm2())
 }
 
 /// Runs the evaluation part of the test path on an existing collapsed
@@ -808,27 +803,32 @@ pub fn run_macro_path_with_faults_hooked(
     hooks: &PipelineHooks<'_>,
 ) -> Result<MacroReport, PathError> {
     let _macro_span = dotm_obs::span_with("macro", || format!("macro {}", harness.name()));
-    let mut gs_cfg = cfg.goodspace;
-    gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
-    gs_cfg.factor_reuse = cfg.factor_reuse;
-    gs_cfg.batch_assembly = cfg.batch_assembly;
-    let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
-    let injector = Injector::default();
-    let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
     let base = harness.testbench();
-    // One compiled stamp split per macro, shared (read-only, Arc) by every
-    // worker: fault injection appends devices, so almost every variant
-    // adopts the nominal baseline and assembles as `baseline + delta`.
+    let base_opts = base_sim_options(harness, cfg);
+    // One compiled stamp split per macro, shared (read-only, Arc) by the
+    // good space and every class worker: fault injection appends devices,
+    // so almost every variant adopts the nominal baseline and assembles
+    // as `baseline + delta`.
     let shared_asm = cfg
         .batch_assembly
         .then(|| std::sync::Arc::new(dotm_sim::SharedAssembly::compile(&base)));
+    let batch = Batch::shared(shared_asm.as_ref());
+    let good = GoodSpace::compile(
+        harness,
+        &cfg.process,
+        cfg.goodspace,
+        &base_opts,
+        &cfg.exec,
+        cfg.warm_start,
+        batch,
+    )
+    .map_err(PathError::GoodCircuit)?;
+    let injector = Injector::default();
+    let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
     // The seed table is frozen before any parallel work: every worker sees
     // the same seeds, so warm-started measurements stay scheduling-free.
-    let warm = if cfg.warm_start {
-        good.warm.as_ref()
-    } else {
-        None
-    };
+    // It is `None` exactly when warm start is off.
+    let warm = good.warm.as_ref();
     let cache = cfg.measure_cache.then(MeasureCache::new);
     let store = hooks.store;
 
@@ -893,10 +893,11 @@ pub fn run_macro_path_with_faults_hooked(
                     severity,
                     is_shared,
                     cfg,
+                    &base_opts,
                     warm,
                     cache.as_ref(),
                     store,
-                    Batch::shared(shared_asm.as_ref()),
+                    batch,
                 );
                 ClassOutcome {
                     key: class.key.clone(),
@@ -1079,14 +1080,14 @@ fn measure_escalated(
     None
 }
 
-/// Resolves measurement-time simulator options for one class evaluation:
-/// the harness's rung-0 base options with the pipeline's solver knobs
-/// applied.
-fn class_base_opts(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptions {
-    let mut base_opts = harness.sim_options();
-    base_opts.factor_reuse = cfg.factor_reuse;
-    base_opts.batch_assembly = cfg.batch_assembly;
-    base_opts
+/// The simulator options of one macro run: the harness's rung-0 base
+/// options with the pipeline's solver knobs applied. Resolved once per
+/// macro; the good space and every class evaluation solve with them.
+fn base_sim_options(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptions {
+    let mut opts = harness.sim_options();
+    opts.factor_reuse = cfg.factor_reuse;
+    opts.batch_assembly = cfg.batch_assembly;
+    opts
 }
 
 /// Worst-case competition score of one variant: the number of distinct
@@ -1236,6 +1237,7 @@ fn evaluate_class(
     severity: Severity,
     shared: bool,
     cfg: &PipelineConfig,
+    base_opts: &SimOptions,
     warm: Option<&WarmStart>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
@@ -1244,7 +1246,6 @@ fn evaluate_class(
     let policy = cfg.sim_failure_policy;
     let ladder = cfg.escalation;
     let n_variants = injector.variant_count(effect);
-    let base_opts = class_base_opts(harness, cfg);
     let mut best: Option<(u32, VariantEval)> = None;
     let mut any_injected = false;
     let mut inject_errors = 0usize;
@@ -1265,7 +1266,7 @@ fn evaluate_class(
         let candidate = match measure_escalated(
             harness,
             &nl,
-            &base_opts,
+            base_opts,
             ladder,
             &mut solver,
             warm,
@@ -1401,11 +1402,10 @@ mod tests {
     fn run(faults: Vec<Fault>) -> MacroReport {
         let collapsed = collapse(1000, faults);
         let cfg = PipelineConfig {
-            goodspace: crate::goodspace::GoodSpaceConfig {
+            goodspace: GoodSpaceConfig {
                 common_samples: 2,
                 mismatch_samples: 2,
                 seed: 1,
-                ..GoodSpaceConfig::default()
             },
             ..PipelineConfig::default()
         };
@@ -1614,11 +1614,10 @@ mod tests {
         );
         let cfg = PipelineConfig {
             non_catastrophic: false,
-            goodspace: crate::goodspace::GoodSpaceConfig {
+            goodspace: GoodSpaceConfig {
                 common_samples: 2,
                 mismatch_samples: 2,
                 seed: 1,
-                ..GoodSpaceConfig::default()
             },
             sim_failure_policy: policy,
             escalation,
@@ -1848,11 +1847,10 @@ mod tests {
         );
         let cfg = PipelineConfig {
             non_catastrophic: false,
-            goodspace: crate::goodspace::GoodSpaceConfig {
+            goodspace: GoodSpaceConfig {
                 common_samples: 2,
                 mismatch_samples: 2,
                 seed: 1,
-                ..GoodSpaceConfig::default()
             },
             ..PipelineConfig::default()
         };
@@ -1912,11 +1910,10 @@ mod tests {
         let cfg = PipelineConfig {
             max_classes: Some(1),
             non_catastrophic: false,
-            goodspace: crate::goodspace::GoodSpaceConfig {
+            goodspace: GoodSpaceConfig {
                 common_samples: 2,
                 mismatch_samples: 2,
                 seed: 1,
-                ..GoodSpaceConfig::default()
             },
             ..PipelineConfig::default()
         };

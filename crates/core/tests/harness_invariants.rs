@@ -5,7 +5,9 @@
 use dotm_core::harnesses::{
     BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
 };
-use dotm_core::{GoodSpace, GoodSpaceConfig, MacroHarness, MeasureKind, ProcessModel};
+use dotm_core::{
+    Batch, ExecConfig, GoodSpace, GoodSpaceConfig, MacroHarness, MeasureKind, ProcessModel,
+};
 
 fn harnesses() -> Vec<Box<dyn MacroHarness>> {
     vec![
@@ -128,7 +130,6 @@ fn fast_goodspace_compiles_for_dc_harnesses() {
         common_samples: 2,
         mismatch_samples: 2,
         seed: 3,
-        ..GoodSpaceConfig::default()
     };
     let model = ProcessModel::default();
     for h in [
@@ -137,7 +138,16 @@ fn fast_goodspace_compiles_for_dc_harnesses() {
         Box::new(ClockgenHarness::default()),
         Box::new(DecoderHarness::default()),
     ] {
-        let gs = GoodSpace::compile(h.as_ref(), &model, cfg).expect("good space");
+        let gs = GoodSpace::compile(
+            h.as_ref(),
+            &model,
+            cfg,
+            &h.sim_options(),
+            &ExecConfig::default(),
+            true,
+            Batch::none(),
+        )
+        .expect("good space");
         assert_eq!(gs.nominal.len(), h.plan().len());
         // Spread estimates must be finite and non-negative.
         for i in 0..gs.nominal.len() {

@@ -17,7 +17,6 @@ fn comparator_path_produces_plausible_statistics() {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 7,
-            ..GoodSpaceConfig::default()
         },
         max_classes: Some(40),
         non_catastrophic: true,

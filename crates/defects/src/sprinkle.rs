@@ -84,6 +84,13 @@ impl<'a> Sprinkler<'a> {
         &self.stats
     }
 
+    /// Area of the sprinkle rectangle in nm²: the layout's bounding box
+    /// plus half the largest defect size of margin. Defect densities are
+    /// normalised to it.
+    pub fn area_nm2(&self) -> f64 {
+        self.area.area() as f64
+    }
+
     /// Samples one defect.
     pub fn sample_defect(&self, rng: &mut impl Rng) -> Defect {
         Defect {

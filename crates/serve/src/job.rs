@@ -23,18 +23,10 @@
 //! campaign's own journal resume makes the re-run cheap.
 
 use crate::http::json_escape;
-use dotm_store::{fnv64, Fnv128};
+use dotm_core::harnesses::NAMES;
+use dotm_store::{fnv64, from_hex, to_hex, Fnv128};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// The five anchor macros, in campaign execution order.
-pub const ALL_MACROS: [&str; 5] = [
-    "comparator",
-    "ladder",
-    "bias_gen",
-    "clock_gen",
-    "decoder_slice",
-];
 
 /// Extracts the raw value of `"key":` from a flat one-line JSON object.
 pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -48,29 +40,11 @@ pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     }
 }
 
-pub(crate) fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-pub(crate) fn from_hex(hex: &str) -> Option<Vec<u8>> {
-    if hex.len() % 2 != 0 {
-        return None;
-    }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
-        .collect()
-}
-
 /// What a client asks the service to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Macro names to run, a non-empty subset of [`ALL_MACROS`], in
-    /// campaign order.
+    /// Macro names to run, a non-empty subset of
+    /// [`dotm_core::harnesses::NAMES`], in campaign order.
     pub macros: Vec<String>,
     /// Defects sprinkled per macro.
     pub defects: usize,
@@ -98,16 +72,16 @@ impl JobSpec {
     /// The spec a submission with an empty body gets: the server
     /// process's own `DOTM_*` environment, all macros, no workers.
     pub fn from_env() -> JobSpec {
-        use dotm_core::env::{serve_workers, u64_knob, usize_knob};
+        use dotm_core::env;
         JobSpec {
-            macros: ALL_MACROS.iter().map(|m| m.to_string()).collect(),
-            defects: usize_knob("DOTM_DEFECTS", 25_000),
-            seed: u64_knob("DOTM_SEED", 1995),
-            gs_common: usize_knob("DOTM_GS_COMMON", 5),
-            gs_mm: usize_knob("DOTM_GS_MM", 4),
-            max_classes: usize_knob("DOTM_MAX_CLASSES", 0),
-            threads: usize_knob("DOTM_THREADS", 0),
-            workers: serve_workers(),
+            macros: NAMES.iter().map(|m| m.to_string()).collect(),
+            defects: env::defects(),
+            seed: env::seed(),
+            gs_common: env::gs_common(),
+            gs_mm: env::gs_mm(),
+            max_classes: env::max_classes().unwrap_or(0),
+            threads: env::threads().unwrap_or(0),
+            workers: env::serve_workers(),
             fresh: false,
             abort_once: 0,
         }
@@ -165,10 +139,10 @@ impl JobSpec {
         if let Some(list) = json_field(text, "macros") {
             let mut macros = Vec::new();
             for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                if !ALL_MACROS.contains(&name) {
+                if !NAMES.contains(&name) {
                     return Err(format!(
                         "unknown macro {name:?} (know: {})",
-                        ALL_MACROS.join(", ")
+                        NAMES.join(", ")
                     ));
                 }
                 if !macros.iter().any(|m| m == name) {
@@ -179,7 +153,7 @@ impl JobSpec {
                 return Err("macros: empty selection".into());
             }
             // Canonical campaign order, independent of request order.
-            macros.sort_by_key(|m| ALL_MACROS.iter().position(|a| a == m));
+            macros.sort_by_key(|m| NAMES.iter().position(|a| a == m));
             spec.macros = macros;
         }
         Ok(spec)
@@ -493,6 +467,32 @@ mod tests {
     }
 
     #[test]
+    fn unset_knobs_give_the_library_defaults() {
+        let knobs = [
+            "DOTM_DEFECTS",
+            "DOTM_SEED",
+            "DOTM_GS_COMMON",
+            "DOTM_GS_MM",
+            "DOTM_MAX_CLASSES",
+            "DOTM_THREADS",
+            "DOTM_SERVE_WORKERS",
+        ];
+        if knobs.iter().any(|k| std::env::var_os(k).is_some()) {
+            return;
+        }
+        let lib = dotm_core::PipelineConfig::default();
+        let spec = JobSpec::from_env();
+        assert_eq!(spec.macros, NAMES);
+        assert_eq!((spec.defects, spec.seed), (lib.defects, lib.seed));
+        assert_eq!(
+            (spec.gs_common, spec.gs_mm),
+            (lib.goodspace.common_samples, lib.goodspace.mismatch_samples)
+        );
+        assert_eq!(lib.max_classes, None);
+        assert_eq!((spec.max_classes, spec.threads, spec.workers), (0, 0, 0));
+    }
+
+    #[test]
     fn records_roundtrip_and_corruption_reads_as_absent() {
         let dir = tmpdir("roundtrip");
         let mut job = Job::new(spec(), 3);
@@ -512,6 +512,14 @@ mod tests {
         fs::write(&path, text).expect("write");
         assert_eq!(Job::load(&dir, &job.id), None, "corrupt record is absent");
         assert!(Job::load_all(&dir).is_empty());
+
+        // A multi-byte character straddling a hex pair is corruption too,
+        // not a panic.
+        job.save(&dir).expect("save");
+        let mut text = fs::read_to_string(&path).expect("read");
+        text.replace_range(at..at + 2, "é");
+        fs::write(&path, text).expect("write");
+        assert_eq!(Job::load(&dir, &job.id), None, "non-hex record is absent");
         let _ = fs::remove_dir_all(&dir);
     }
 

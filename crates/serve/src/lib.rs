@@ -30,6 +30,6 @@ pub mod server;
 
 pub use exit::{classify, io_exit_code, FailureClass};
 pub use hub::EventHub;
-pub use job::{Job, JobSpec, JobState, ALL_MACROS};
+pub use job::{Job, JobSpec, JobState};
 pub use runner::{parse_progress_line, JobRunner, RunOutcome, SubprocessRunner};
 pub use server::{serve, Server};

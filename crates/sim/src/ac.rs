@@ -108,7 +108,7 @@ impl ComplexMatrix {
                 }
             }
             // Scale-relative singularity test, mirroring the real
-            // `DenseMatrix::solve_in_place`: the pivot must be meaningful
+            // `LuFactors::refactor`: the pivot must be meaningful
             // relative to the largest magnitude in the factored column,
             // not relative to an absolute floor — badly-scaled but
             // well-conditioned AC systems (huge R, tiny ωC) must solve.

@@ -20,11 +20,10 @@
 //! back a run of solves — the foundation of the engine's factor-reuse
 //! layer, and the routine *every* production solve uses whether the
 //! caches are on or off (which is what keeps the caches bit-invisible).
-//! [`DenseMatrix::solve_in_place`] remains as the fused one-shot path for
-//! small systems and as an independent reference in tests; the split
-//! solve reassociates its triangular-sweep dot products four ways for
-//! pipeline throughput, so the two paths agree to round-off (asserted by
-//! the `factor_solve_matches_fused*` property tests), not bit-for-bit.
+//! The solve reassociates its triangular-sweep dot products four ways
+//! for pipeline throughput, so it agrees with textbook substitution to
+//! round-off (asserted by the `factor_solve_matches_reference*` tests),
+//! not bit-for-bit.
 
 /// Why a factorisation was refused: the best pivot available in `col` had
 /// magnitude `pivot_mag`, vanishingly small relative to the largest
@@ -116,83 +115,6 @@ impl DenseMatrix {
             .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
             .collect()
     }
-
-    /// Factors the matrix in place (LU with partial pivoting) and solves
-    /// `A·x = b`, overwriting `b` with `x`.
-    ///
-    /// Returns `Err(SingularInfo)` if the matrix is numerically singular:
-    /// the best pivot available in a column is vanishingly small *relative
-    /// to the largest magnitude in that factored column* (ratio below
-    /// `1e-14`), so uniformly rescaling the system never changes the
-    /// verdict — a well-conditioned matrix that happens to live near
-    /// `1e-300` still solves, while exact cancellation is still caught at
-    /// any scale. The contents of `self` and `b` are unspecified in that
-    /// case.
-    ///
-    /// # Errors
-    /// [`SingularInfo`] naming the offending column and its best pivot.
-    ///
-    /// # Panics
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), SingularInfo> {
-        assert_eq!(b.len(), self.n);
-        let n = self.n;
-        let a = &mut self.data;
-        for k in 0..n {
-            // Partial pivot: find the largest |a[i][k]| for i >= k.
-            let mut piv = k;
-            let mut max = a[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = a[i * n + k].abs();
-                if v > max {
-                    max = v;
-                    piv = i;
-                }
-            }
-            // Scale-relative singularity test: compare the pivot against
-            // the largest magnitude anywhere in the factored column,
-            // including the already-eliminated U part above the diagonal.
-            // An all-zero column (col_max == 0) and a NaN pivot both land
-            // in the singular branch.
-            let mut col_max = max;
-            for i in 0..k {
-                col_max = col_max.max(a[i * n + k].abs());
-            }
-            if max.is_nan() || max <= col_max * 1e-14 {
-                return Err(SingularInfo {
-                    col: k,
-                    pivot_mag: max,
-                });
-            }
-            if piv != k {
-                for j in 0..n {
-                    a.swap(k * n + j, piv * n + j);
-                }
-                b.swap(k, piv);
-            }
-            let pivot = a[k * n + k];
-            for i in (k + 1)..n {
-                let factor = a[i * n + k] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                a[i * n + k] = 0.0;
-                for j in (k + 1)..n {
-                    a[i * n + j] -= factor * a[k * n + j];
-                }
-                b[i] -= factor * b[k];
-            }
-        }
-        // Back substitution.
-        for k in (0..n).rev() {
-            let mut acc = b[k];
-            for j in (k + 1)..n {
-                acc -= a[k * n + j] * b[j];
-            }
-            b[k] = acc / a[k * n + k];
-        }
-        Ok(())
-    }
 }
 
 /// A completed LU factorisation with partial pivoting: `U` on and above
@@ -200,10 +122,8 @@ impl DenseMatrix {
 /// implied) below it, and the row-interchange sequence.
 ///
 /// Factor once with [`LuFactors::refactor`], then run any number of
-/// [`LuFactors::solve`] calls. The factorisation arithmetic (pivot
-/// choices, multipliers, singularity test) is identical — operation for
-/// operation — to [`DenseMatrix::solve_in_place`]. The solve replay is
-/// the single routine behind every production solve, cached or not,
+/// [`LuFactors::solve`] calls. The solve replay is the single routine
+/// behind every production solve, cached or not,
 /// which is what lets the engine's factor cache be invisible in every
 /// deterministic artifact: a cache hit replays the same factors through
 /// the same arithmetic.
@@ -241,9 +161,14 @@ impl LuFactors {
     /// is untouched (the engine keeps the assembled matrix for delta
     /// scans and residual checks).
     ///
-    /// The singularity test is the same scale-relative pivot test as
-    /// [`DenseMatrix::solve_in_place`]; on failure the factor contents
-    /// are unspecified and the previous factorisation is lost.
+    /// A matrix is numerically singular when the best pivot available in
+    /// a column is vanishingly small *relative to the largest magnitude
+    /// in that factored column* (ratio below `1e-14`), so uniformly
+    /// rescaling the system never changes the verdict: a
+    /// well-conditioned matrix that happens to live near `1e-300` still
+    /// factors, while exact cancellation is caught at any scale. On
+    /// failure the factor contents are unspecified and the previous
+    /// factorisation is lost.
     ///
     /// The kernel is bit-for-bit the textbook right-looking elimination
     /// (kept as the test oracle): the same pivots, the same multipliers,
@@ -333,7 +258,7 @@ impl LuFactors {
                 } else {
                     let factor = x / pivot;
                     // `factor == 0.0` rows are skipped exactly as in the
-                    // fused path (an underflowed multiplier must not turn
+                    // textbook loop (an underflowed multiplier must not turn
                     // a later `inf · 0` into NaN); the zero multiplier
                     // stored here makes `solve` skip the same rows.
                     row[k] = factor;
@@ -363,9 +288,7 @@ impl LuFactors {
     ///
     /// Every production solve — with the factor caches on *or* off —
     /// goes through this routine, so its arithmetic only has to be
-    /// deterministic, not bit-matched to the fused
-    /// [`DenseMatrix::solve_in_place`] (which survives for one-shot
-    /// small systems and as an independent reference in tests). That
+    /// deterministic, not bit-matched to textbook substitution. That
     /// freedom is spent on speed: both triangular sweeps run their dot
     /// products with a fixed four-way association, which breaks the
     /// fused-multiply-add latency chain a sequential accumulation is
@@ -437,6 +360,14 @@ fn dot4(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Factors `m` and solves `m·x = b` in place: the production path.
+    fn lu_solve(m: &DenseMatrix, b: &mut [f64]) -> Result<(), SingularInfo> {
+        let mut lu = LuFactors::new();
+        lu.refactor(m)?;
+        lu.solve(b);
+        Ok(())
+    }
+
     #[test]
     fn solves_identity() {
         let mut m = DenseMatrix::zeros(3);
@@ -444,7 +375,7 @@ mod tests {
             m.set(i, i, 1.0);
         }
         let mut b = vec![1.0, 2.0, 3.0];
-        assert!(m.solve_in_place(&mut b).is_ok());
+        assert!(lu_solve(&m, &mut b).is_ok());
         assert_eq!(b, vec![1.0, 2.0, 3.0]);
     }
 
@@ -457,7 +388,7 @@ mod tests {
         m.set(1, 0, 1.0);
         m.set(1, 1, 3.0);
         let mut b = vec![3.0, 5.0];
-        assert!(m.solve_in_place(&mut b).is_ok());
+        assert!(lu_solve(&m, &mut b).is_ok());
         assert!((b[0] - 0.8).abs() < 1e-12);
         assert!((b[1] - 1.4).abs() < 1e-12);
     }
@@ -469,7 +400,7 @@ mod tests {
         m.set(0, 1, 1.0);
         m.set(1, 0, 1.0);
         let mut b = vec![2.0, 3.0];
-        assert!(m.solve_in_place(&mut b).is_ok());
+        assert!(lu_solve(&m, &mut b).is_ok());
         assert!((b[0] - 3.0).abs() < 1e-12);
         assert!((b[1] - 2.0).abs() < 1e-12);
     }
@@ -482,7 +413,7 @@ mod tests {
         m.set(1, 0, 2.0);
         m.set(1, 1, 4.0);
         let mut b = vec![1.0, 2.0];
-        let info = m.solve_in_place(&mut b).expect_err("rank-1 is singular");
+        let info = lu_solve(&m, &mut b).expect_err("rank-1 is singular");
         // Column 0 eliminates fine; the cancellation shows at column 1.
         assert_eq!(info.col, 1);
         assert!(info.pivot_mag.abs() < 4.0 * 1e-14 * 1.001);
@@ -501,7 +432,7 @@ mod tests {
         m.set(1, 0, 1.0 * s);
         m.set(1, 1, 3.0 * s);
         let mut b = vec![3.0 * s, 5.0 * s];
-        assert!(m.solve_in_place(&mut b).is_ok(), "scaled system must solve");
+        assert!(lu_solve(&m, &mut b).is_ok(), "scaled system must solve");
         assert!((b[0] - 0.8).abs() < 1e-12);
         assert!((b[1] - 1.4).abs() < 1e-12);
     }
@@ -518,7 +449,7 @@ mod tests {
             m.set(1, 1, 4.0 * s);
             let mut b = vec![s, 2.0 * s];
             assert!(
-                m.solve_in_place(&mut b).is_err(),
+                lu_solve(&m, &mut b).is_err(),
                 "scale {s:e} must stay singular"
             );
         }
@@ -532,16 +463,16 @@ mod tests {
         m.set(0, 0, 1e300);
         m.set(1, 1, 1e-300);
         let mut b = vec![2e300, 3e-300];
-        assert!(m.solve_in_place(&mut b).is_ok());
+        assert!(lu_solve(&m, &mut b).is_ok());
         assert!((b[0] - 2.0).abs() < 1e-12);
         assert!((b[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_matrix_is_singular() {
-        let mut m = DenseMatrix::zeros(3);
+        let m = DenseMatrix::zeros(3);
         let mut b = vec![1.0, 1.0, 1.0];
-        let info = m.solve_in_place(&mut b).expect_err("zero is singular");
+        let info = lu_solve(&m, &mut b).expect_err("zero is singular");
         assert_eq!(info.col, 0);
         assert_eq!(info.pivot_mag, 0.0);
     }
@@ -561,11 +492,10 @@ mod tests {
         for (r, c, v) in entries {
             m.set(r, c, v);
         }
-        let a = m.clone();
         let mut b = vec![1.0, 2.0, 3.0];
         let b0 = b.clone();
-        assert!(m.solve_in_place(&mut b).is_ok());
-        let back = a.mul_vec(&b);
+        assert!(lu_solve(&m, &mut b).is_ok());
+        let back = m.mul_vec(&b);
         for (x, y) in back.iter().zip(&b0) {
             assert!((x - y).abs() < 1e-10);
         }
@@ -599,22 +529,43 @@ mod tests {
     fn larger_random_like_system_roundtrips() {
         let n = 40;
         let m = random_system(n, 0x9e3779b97f4a7c15u64);
-        let a = m.clone();
         let xtrue: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 - 3.0).collect();
-        let mut b = a.mul_vec(&xtrue);
-        let mut fused = m.clone();
-        assert!(fused.solve_in_place(&mut b).is_ok());
+        let mut b = m.mul_vec(&xtrue);
+        assert!(lu_solve(&m, &mut b).is_ok());
         for (x, y) in b.iter().zip(&xtrue) {
             assert!((x - y).abs() < 1e-8);
         }
     }
 
-    /// Asserts the split solve agrees with the fused reference to
-    /// round-off. The two paths intentionally associate their dot
-    /// products differently (the split path runs four accumulators for
-    /// pipeline throughput), so agreement is to a tight relative
-    /// tolerance, not bit-for-bit; a permutation-handling bug produces
-    /// errors many orders of magnitude beyond this bound.
+    /// Textbook substitution over the reference factors: the full row
+    /// interchange first, then forward and back sweeps whose dot products
+    /// accumulate in index order.
+    fn solve_reference(m: &DenseMatrix, b: &mut [f64]) {
+        let (packed, pivots) = refactor_reference(m).expect("well-conditioned");
+        let n = pivots.len();
+        for (k, &p) in pivots.iter().enumerate() {
+            b.swap(k, p);
+        }
+        for i in 1..n {
+            for j in 0..i {
+                b[i] -= packed[i * n + j] * b[j];
+            }
+        }
+        for k in (0..n).rev() {
+            let mut acc = b[k];
+            for j in (k + 1)..n {
+                acc -= packed[k * n + j] * b[j];
+            }
+            b[k] = acc / packed[k * n + k];
+        }
+    }
+
+    /// Asserts the split solve agrees with textbook substitution to
+    /// round-off. The two intentionally associate their dot products
+    /// differently (the split path runs four accumulators for pipeline
+    /// throughput), so agreement is to a tight relative tolerance, not
+    /// bit-for-bit; a permutation-handling bug produces errors many
+    /// orders of magnitude beyond this bound.
     fn assert_close(reference: &[f64], split: &[f64], ctx: &str) {
         for (a, b) in reference.iter().zip(split) {
             let tol = 1e-11 * a.abs().max(1.0);
@@ -623,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_solve_matches_fused() {
+    fn factor_solve_matches_reference() {
         for (i, seed) in [0x9e3779b97f4a7c15u64, 1995, 0xD07, 42, u64::MAX / 7]
             .into_iter()
             .enumerate()
@@ -633,23 +584,18 @@ mod tests {
             assert_matches_reference(&m, &format!("seed {seed} n {n}")).expect("well-conditioned");
             let rhs: Vec<f64> = (0..n).map(|k| ((k * 7 % 13) as f64) - 6.0).collect();
 
-            let mut fused = m.clone();
-            let mut b_fused = rhs.clone();
-            fused
-                .solve_in_place(&mut b_fused)
-                .expect("well-conditioned");
+            let mut b_reference = rhs.clone();
+            solve_reference(&m, &mut b_reference);
 
-            let mut lu = LuFactors::new();
-            lu.refactor(&m).expect("well-conditioned");
             let mut b_split = rhs.clone();
-            lu.solve(&mut b_split);
+            lu_solve(&m, &mut b_split).expect("well-conditioned");
 
-            assert_close(&b_fused, &b_split, &format!("seed {seed} n {n}"));
+            assert_close(&b_reference, &b_split, &format!("seed {seed} n {n}"));
         }
     }
 
     #[test]
-    fn factor_solve_matches_fused_under_heavy_pivoting() {
+    fn factor_solve_matches_reference_under_heavy_pivoting() {
         // Cyclically rotating the rows of a diagonally dominant system
         // moves every dominant entry off the diagonal, so elimination
         // must interchange rows at (nearly) every step — the regime the
@@ -671,18 +617,13 @@ mod tests {
                 .expect("well-conditioned");
             let rhs: Vec<f64> = (0..n).map(|k| ((k * 11 % 17) as f64) - 8.0).collect();
 
-            let mut fused = m.clone();
-            let mut b_fused = rhs.clone();
-            fused
-                .solve_in_place(&mut b_fused)
-                .expect("well-conditioned");
+            let mut b_reference = rhs.clone();
+            solve_reference(&m, &mut b_reference);
 
-            let mut lu = LuFactors::new();
-            lu.refactor(&m).expect("well-conditioned");
             let mut b_split = rhs.clone();
-            lu.solve(&mut b_split);
+            lu_solve(&m, &mut b_split).expect("well-conditioned");
 
-            assert_close(&b_fused, &b_split, &format!("seed {seed} n {n}"));
+            assert_close(&b_reference, &b_split, &format!("seed {seed} n {n}"));
         }
     }
 
@@ -713,25 +654,30 @@ mod tests {
         let m2 = random_system(n, 8);
         let mut lu = LuFactors::new();
         lu.refactor(&m1).expect("m1 factors");
-        // Many solves off one factorisation agree with fresh fused solves.
+        // Many solves off one factorisation agree with textbook
+        // substitution.
         for s in 0..4 {
             let rhs: Vec<f64> = (0..n).map(|k| (k as f64) * 0.5 - s as f64).collect();
             let mut b = rhs.clone();
             lu.solve(&mut b);
-            let mut fresh = m1.clone();
             let mut bf = rhs.clone();
-            fresh.solve_in_place(&mut bf).expect("m1 solves");
+            solve_reference(&m1, &mut bf);
             assert_close(&bf, &b, "m1");
         }
-        // Refactoring with a different matrix switches cleanly.
+        // Refactoring with a different matrix switches cleanly: the
+        // reused buffers solve bit for bit like fresh ones.
         lu.refactor(&m2).expect("m2 factors");
         let rhs: Vec<f64> = (0..n).map(|k| 1.0 - (k as f64)).collect();
         let mut b = rhs.clone();
         lu.solve(&mut b);
-        let mut fresh = m2.clone();
         let mut bf = rhs.clone();
-        fresh.solve_in_place(&mut bf).expect("m2 solves");
-        assert_close(&bf, &b, "m2");
+        lu_solve(&m2, &mut bf).expect("m2 solves");
+        for (x, y) in b.iter().zip(&bf) {
+            assert_eq!(x.to_bits(), y.to_bits(), "m2");
+        }
+        let mut bref = rhs.clone();
+        solve_reference(&m2, &mut bref);
+        assert_close(&bref, &b, "m2");
     }
 
     /// The textbook right-looking elimination that `LuFactors::refactor`

@@ -87,7 +87,9 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.u64(cfg.goodspace.common_samples as u64);
     h.u64(cfg.goodspace.mismatch_samples as u64);
     h.u64(cfg.goodspace.seed);
-    h.bool(cfg.goodspace.warm_start);
+    // The slot of the removed good-space warm-start flag, hashed as its
+    // old default: the good space now follows `cfg.warm_start` below.
+    h.bool(true);
 
     // Evaluation policy and solver-effort knobs.
     h.u64(cfg.escalation.max_rung as u64);

@@ -59,3 +59,4 @@ pub use segment::{create_segment, load_segment, merge_segments, segment_path, Me
 pub use store::{
     corrupt_one_entry, occupancy, reap_temp_files, DiskStore, StoreCounters, StoreOccupancy,
 };
+pub use wire::{from_hex, to_hex};

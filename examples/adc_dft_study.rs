@@ -5,7 +5,8 @@
 //! scale.
 //!
 //! Run with: `cargo run --release --example adc_dft_study`
-//! (a few minutes; set DOTM_EXAMPLE_DEFECTS to shrink the run).
+//! (a few minutes; set DOTM_DEFECTS, default 8000 here, to shrink the
+//! run).
 
 use dotm::core::harnesses::ComparatorHarness;
 use dotm::core::{
@@ -14,7 +15,11 @@ use dotm::core::{
 use dotm::faults::Severity;
 
 fn main() {
-    let defects: usize = dotm::core::env::usize_knob("DOTM_EXAMPLE_DEFECTS", 8_000);
+    // The example's own default is smaller than the library's 25 000.
+    let defects = match std::env::var_os("DOTM_DEFECTS") {
+        Some(_) => dotm::core::env::defects(),
+        None => 8_000,
+    };
     let cfg = PipelineConfig {
         defects,
         seed: 1995,
@@ -22,7 +27,6 @@ fn main() {
             common_samples: 4,
             mismatch_samples: 3,
             seed: 7,
-            ..GoodSpaceConfig::default()
         },
         non_catastrophic: false,
         ..PipelineConfig::default()

@@ -19,8 +19,6 @@ fn comparator_config(threads: usize, measure_cache: bool) -> PipelineConfig {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 1995 ^ 0xD07,
-            exec: ExecConfig::with_threads(threads),
-            ..GoodSpaceConfig::default()
         },
         max_classes: Some(12),
         non_catastrophic: true,
@@ -41,11 +39,7 @@ fn run_comparator_cfg(cfg: PipelineConfig) -> MacroReport {
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
     let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let area = layout
-        .bbox()
-        .map(|b| b.expanded(cfg.stats.size.xmax / 2))
-        .map(|b| b.area() as f64)
-        .unwrap_or(0.0);
+    let area = sprinkler.area_nm2();
     run_macro_path_with_faults(&harness, &cfg, &collapsed, area).expect("comparator path")
 }
 
@@ -193,8 +187,6 @@ fn factor_reuse_report_is_thread_count_invariant() {
                 common_samples: 3,
                 mismatch_samples: 2,
                 seed: 1995 ^ 0xD07,
-                exec: ExecConfig::with_threads(threads),
-                ..GoodSpaceConfig::default()
             },
             max_classes: Some(24),
             non_catastrophic: true,
@@ -223,7 +215,6 @@ fn fixed_seed_anchor_invariants() {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 5,
-            ..GoodSpaceConfig::default()
         },
         non_catastrophic: true,
         ..PipelineConfig::default()

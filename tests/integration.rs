@@ -14,7 +14,6 @@ fn fast_config(defects: usize) -> PipelineConfig {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 5,
-            ..GoodSpaceConfig::default()
         },
         non_catastrophic: true,
         ..PipelineConfig::default()

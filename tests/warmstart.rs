@@ -26,7 +26,6 @@ fn run_comparator(warm_start: bool) -> MacroReport {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 1995 ^ 0xD07,
-            ..GoodSpaceConfig::default()
         },
         max_classes: Some(10),
         non_catastrophic: true,
@@ -45,7 +44,6 @@ fn run_anchor(warm: bool) -> MacroReport {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 5,
-            ..GoodSpaceConfig::default()
         },
         non_catastrophic: true,
         warm_start: warm,
